@@ -120,6 +120,7 @@ fuzz-short:
 	$(GO) test -run XXX -fuzz FuzzNelderMead -fuzztime 10s ./internal/solve
 	$(GO) test -run XXX -fuzz FuzzAnalyze -fuzztime 10s ./internal/camat
 	$(GO) test -run XXX -fuzz FuzzSerializeIdempotent -fuzztime 10s ./internal/camat
+	$(GO) test -run XXX -fuzz FuzzDetectorMatchesBatch -fuzztime 10s ./internal/detector
 
 clean:
 	$(GO) clean ./...

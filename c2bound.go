@@ -1,8 +1,6 @@
 package c2bound
 
 import (
-	"context"
-
 	"repro/internal/aps"
 	"repro/internal/baselines"
 	"repro/internal/camat"
@@ -195,34 +193,10 @@ type (
 	ANNSearch = aps.ANNSearch
 )
 
-// PaperSpace returns the 10⁶-point §IV design space for the chip budget.
-//
-// Deprecated: use FamilyDesignSpace(m, 0) with a BuildModel c2bound
-// model — the family-generic form of the same grids, which also serves
-// every other registered family.
-func PaperSpace(cfg ChipConfig) (DesignSpace, error) { return dse.PaperSpace(cfg) }
-
-// ReducedSpace subsamples PaperSpace to per values per dimension.
-//
-// Deprecated: use FamilyDesignSpace(m, per) with a BuildModel c2bound
-// model — the family-generic form of the same grids, which also serves
-// every other registered family.
-func ReducedSpace(cfg ChipConfig, per int) (DesignSpace, error) { return dse.ReducedSpace(cfg, per) }
-
 // NewSimEvaluator builds a simulator-backed evaluator for a fixed-size
 // workload of totalRefs references.
 func NewSimEvaluator(cfg ChipConfig, workload string, wsBytes uint64, meanGap float64, totalRefs int, seed uint64) (*SimEvaluator, error) {
 	return dse.NewSimEvaluator(cfg, workload, wsBytes, meanGap, totalRefs, seed)
-}
-
-// SweepSpace brute-forces a space in parallel (the ground-truth path).
-//
-// Deprecated: use Sweep, the context-first form with retries,
-// checkpoint/resume and observability (adapt plain evaluators with
-// AdaptEvaluator).
-func SweepSpace(e Evaluator, s DesignSpace, workers int) []float64 {
-	//lint:allow ctxflow deliberate non-ctx convenience wrapper; use Sweep for cancellation
-	return dse.Sweep(context.Background(), e, s, workers)
 }
 
 // Resilient exploration (cancellation, retries, checkpoint/resume).
@@ -328,25 +302,6 @@ func NewModelCatalog() *ModelCatalog { return server.DefaultCatalog() }
 
 // AdaptEvaluator lifts a plain Evaluator to the context-aware interface.
 func AdaptEvaluator(e Evaluator) CtxEvaluator { return dse.WithContext(e) }
-
-// SweepSpaceCtx is SweepSpace with cancellation, deadlines, retries,
-// panic isolation and optional checkpoint/resume. Partial results and
-// the report are valid even when the returned error is non-nil.
-//
-// Deprecated: use Sweep, the functional-options form of the same call.
-func SweepSpaceCtx(ctx context.Context, e CtxEvaluator, s DesignSpace, opts SweepOptions) ([]float64, SweepReport, error) {
-	return dse.SweepCtx(ctx, e, s, nil, opts)
-}
-
-// RunAPSCtx executes the Analysis-Plus-Simulation flow with struct
-// options: cancellation propagates into the analytic scan and every
-// simulator invocation, and the simulated slice retries transient
-// failures per opts.Sweep.Retry.
-//
-// Deprecated: use RunAPS, the functional-options form of the same call.
-func RunAPSCtx(ctx context.Context, m Model, space DesignSpace, eval CtxEvaluator, opts APSOptions) (APSResult, error) {
-	return aps.RunCtx(ctx, m, space, eval, opts)
-}
 
 // Baselines (§VI).
 

@@ -46,6 +46,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dse"
 	"repro/internal/engine"
+	"repro/internal/model"
 	"repro/internal/obs"
 )
 
@@ -134,7 +135,14 @@ func main() {
 	app.GOrder = 0
 	m := core.Model{Chip: chip.DefaultConfig(), App: app}
 
-	space, err := dse.ReducedSpace(m.Chip, *per)
+	if *per < 1 || *per > 10 {
+		log.Fatalf("space: -per needs 1..10 values per dimension, got %d", *per)
+	}
+	fm, err := model.New(model.FamilyC2Bound, model.Config{Chip: m.Chip, App: m.App})
+	if err != nil {
+		log.Fatalf("model: %v", err)
+	}
+	space, err := dse.SpaceFor(fm, *per)
 	if err != nil {
 		log.Fatalf("space: %v", err)
 	}

@@ -177,20 +177,27 @@ func main() {
 	fmt.Printf("solver            : %s after %d objective evaluations\n", res.Method, res.Evaluations)
 
 	if *sweepPer > 0 {
-		runSweep(ctx, m, cfg, eng, *sweepPer, *checkpoint, *resume)
+		runSweep(ctx, m, eng, *sweepPer, *checkpoint, *resume)
 	}
 }
 
 // runSweep brute-forces the reduced design space with the analytic
 // evaluator, optionally checkpointing so an interrupted run can resume.
-func runSweep(ctx context.Context, m c2bound.Model, cfg c2bound.ChipConfig, eng *c2bound.Engine, per int, checkpoint string, resume bool) {
-	space, err := dse.ReducedSpace(cfg, per)
+func runSweep(ctx context.Context, m c2bound.Model, eng *c2bound.Engine, per int, checkpoint string, resume bool) {
+	if per < 1 || per > 10 {
+		log.Fatalf("sweep space: -sweep needs 1..10 values per dimension, got %d", per)
+	}
+	fm, err := c2bound.BuildModel(m.App, c2bound.WithChipConfig(m.Chip))
+	if err != nil {
+		log.Fatalf("sweep model: %v", err)
+	}
+	space, err := c2bound.FamilyDesignSpace(fm, per)
 	if err != nil {
 		log.Fatalf("sweep space: %v", err)
 	}
 	fmt.Printf("\nsweeping %d analytic design points...\n", space.Size())
 	start := time.Now()
-	values, rep, err := dse.SweepCtx(ctx, &dse.ModelEvaluator{Model: m}, space, nil, dse.SweepOptions{
+	values, rep, err := dse.SweepCtx(ctx, c2bound.NewFamilyEvaluator(fm), space, nil, dse.SweepOptions{
 		Engine:         eng,
 		CheckpointPath: checkpoint,
 		Resume:         resume,

@@ -17,7 +17,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/chip"
 	"repro/internal/cluster"
 	"repro/internal/dse"
 	"repro/internal/server"
@@ -92,7 +91,7 @@ func runClusterBench(out string, per, maxPeers int) {
 }
 
 func clusterBench(per, maxPeers int) (clusterReport, error) {
-	space, err := dse.ReducedSpace(chip.DefaultConfig(), per)
+	_, space, err := paperModel(per)
 	if err != nil {
 		return clusterReport{}, fmt.Errorf("space: %w", err)
 	}

@@ -1,6 +1,6 @@
 // Command enginebench measures the evaluation engine's throughput with a
 // cold and a warm memo cache and writes the result as JSON (for CI trend
-// tracking). The workload is the deterministic analytic ModelEvaluator
+// tracking). The workload is the deterministic analytic c2bound objective
 // over a reduced design space: the cold pass computes every point, the
 // warm pass re-requests the same points and should be served almost
 // entirely from cache.
@@ -13,8 +13,8 @@
 //	            [-trace out.json] [-metrics] [-cpuprofile out.pprof]
 //
 // With -batch the command runs the benchmark twice — once with the
-// engine's batched dispatch disabled (scalar per-point path) and once
-// with it enabled — verifies the two sweeps produce bit-identical
+// evaluator's batch method hidden (the engine's scalar per-point path)
+// and once batched — verifies the two sweeps produce bit-identical
 // values, and writes both reports plus the batch-over-scalar speedups
 // and allocations per point (typically to BENCH_engine.json via
 // `make bench-engine`). The run fails if any value differs by a single
@@ -22,8 +22,9 @@
 //
 // With -families the command benchmarks every registered model family
 // through the family-generic path: for each family it measures the cold
-// scalar per-point rate (memoization disabled, batched dispatch
-// disabled), the cold batched rate through the family's compiled kernel,
+// scalar per-point rate (one engine Evaluate call per point, each on a
+// freshly resolved model), the cold batched rate through the family's
+// compiled kernel,
 // and the warm cache-hit rate, verifying the scalar and batched sweeps
 // are bit-identical before writing the per-family table (typically to
 // BENCH_families.json via `make bench-families`). Small family spaces
@@ -235,17 +236,42 @@ func runBench(per, rounds, workers int, tracer *obs.Tracer, metrics *obs.Registr
 	return rep
 }
 
+// paperModel returns the c2bound objective for fluidanimate on the
+// default chip and its §IV space subsampled to per values per dimension.
+func paperModel(per int) (model.Model, dse.Space, error) {
+	if per < 1 || per > 10 {
+		return nil, dse.Space{}, fmt.Errorf("-per needs 1..10 values per dimension, got %d", per)
+	}
+	m, err := model.New(model.FamilyC2Bound, model.Config{Chip: chip.DefaultConfig(), App: core.FluidanimateApp()})
+	if err != nil {
+		return nil, dse.Space{}, err
+	}
+	space, err := dse.SpaceFor(m, per)
+	return m, space, err
+}
+
+// scalarOnly hides the evaluator's EvaluateBatch, so the engine
+// dispatches it on the scalar per-point path.
+type scalarOnly struct{ scalarEvaluator }
+
+type scalarEvaluator interface {
+	dse.CtxEvaluator
+	engine.Fingerprinter
+}
+
 // runBenchPath is runBench with the dispatch path pinned (scalar when
-// disableBatch) and optional allocation metering; it also returns the
+// scalar is set) and optional allocation metering; it also returns the
 // cold sweep's values so -batch can compare the two paths bit for bit.
-func runBenchPath(per, rounds, workers int, disableBatch, meterAllocs bool, tracer *obs.Tracer, metrics *obs.Registry) (report, []float64) {
-	m := core.Model{Chip: chip.DefaultConfig(), App: core.FluidanimateApp()}
-	space, err := dse.ReducedSpace(m.Chip, per)
+func runBenchPath(per, rounds, workers int, scalar, meterAllocs bool, tracer *obs.Tracer, metrics *obs.Registry) (report, []float64) {
+	m, space, err := paperModel(per)
 	if err != nil {
 		log.Fatalf("space: %v", err)
 	}
-	eval := &dse.ModelEvaluator{Model: m}
-	eng := engine.New(engine.Options{Workers: workers, Tracer: tracer, Metrics: metrics, DisableBatch: disableBatch})
+	var eval dse.CtxEvaluator = dse.NewFamilyEvaluator(m)
+	if scalar {
+		eval = scalarOnly{dse.NewFamilyEvaluator(m)}
+	}
+	eng := engine.New(engine.Options{Workers: workers, Tracer: tracer, Metrics: metrics})
 	ctx := context.Background()
 	ctx = obs.ContextWithTracer(ctx, tracer)
 	ctx = obs.ContextWithMetrics(ctx, metrics)
@@ -307,7 +333,7 @@ func runBenchPath(per, rounds, workers int, disableBatch, meterAllocs bool, trac
 // per-point path on identical sweeps and verifies the values agree bit
 // for bit before writing the comparison (the BENCH_engine.json gate).
 func runBatchCompare(out string, per, rounds, workers int) {
-	fmt.Println("pass 1/2: batched dispatch disabled (scalar per-point path)...")
+	fmt.Println("pass 1/2: batch method hidden (scalar per-point path)...")
 	scalar, scalarVals := runBenchPath(per, rounds, workers, true, true, nil, nil)
 
 	fmt.Println("pass 2/2: batched dispatch enabled...")
@@ -430,7 +456,7 @@ func runFamiliesBench(out string, per, rounds, workers int) {
 		scalarVals := make([]float64, len(sub))
 		scalarRate := 0.0
 		for r := 0; r < 2; r++ {
-			eng := engine.New(engine.Options{Workers: workers, DisableBatch: true})
+			eng := engine.New(engine.Options{Workers: workers})
 			start := time.Now()
 			for i, p := range sub {
 				rm, err := model.New(name, cfg)

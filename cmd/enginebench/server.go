@@ -11,8 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/chip"
-	"repro/internal/dse"
 	"repro/internal/engine"
 	"repro/internal/server"
 )
@@ -58,7 +56,7 @@ func runServerBench(out string, per, rounds, workers, clients int) {
 	defer httpSrv.Close()
 	base := "http://" + ln.Addr().String()
 
-	space, err := dse.ReducedSpace(chip.DefaultConfig(), per)
+	_, space, err := paperModel(per)
 	if err != nil {
 		log.Fatalf("space: %v", err)
 	}

@@ -13,8 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/chip"
-	"repro/internal/dse"
 	"repro/internal/server"
 )
 
@@ -87,7 +85,7 @@ func runTenantBench(out string, workers, clients int, dur time.Duration) {
 	defer httpSrv.Close()
 	base := "http://" + ln.Addr().String()
 
-	space, err := dse.ReducedSpace(chip.DefaultConfig(), 3)
+	_, space, err := paperModel(3)
 	if err != nil {
 		log.Fatalf("space: %v", err)
 	}

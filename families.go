@@ -121,8 +121,8 @@ func NewFamilyEvaluator(m FamilyModel) *FamilyEvaluator {
 
 // FamilyDesignSpace converts a family's declared space into a sweep
 // grid, subsampled to at most per values per dimension (per ≤ 0 keeps
-// the family's full default grids). For the c2bound family it equals
-// ReducedSpace/PaperSpace.
+// the family's full default grids). For the c2bound family it is the
+// paper's §IV space: 10⁶ designs in full, per⁶ subsampled.
 func FamilyDesignSpace(m FamilyModel, per int) (DesignSpace, error) {
 	return dse.SpaceFor(m, per)
 }
@@ -146,7 +146,6 @@ func OptimizeFamily(ctx context.Context, m FamilyModel, per int, opts ...Option)
 			CheckpointPath:  c.checkpoint,
 			CheckpointEvery: c.every,
 			Resume:          c.resume,
-			DisableBatch:    c.disableBatch,
 		},
 	})
 }

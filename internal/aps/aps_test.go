@@ -8,16 +8,24 @@ import (
 	"repro/internal/chip"
 	"repro/internal/core"
 	"repro/internal/dse"
+	"repro/internal/model"
 )
 
-func testSetup(t *testing.T, per int) (core.Model, dse.Space, dse.Evaluator) {
+// testSetup returns the fluidanimate model on the default chip, its §IV
+// space subsampled to per values per dimension, and the c2bound
+// objective as the evaluator.
+func testSetup(t *testing.T, per int) (core.Model, dse.Space, *dse.FamilyEvaluator) {
 	t.Helper()
 	m := core.Model{Chip: chip.DefaultConfig(), App: core.FluidanimateApp()}
-	space, err := dse.ReducedSpace(m.Chip, per)
+	fm, err := model.New(model.FamilyC2Bound, model.Config{Chip: m.Chip, App: m.App})
 	if err != nil {
-		t.Fatalf("ReducedSpace: %v", err)
+		t.Fatal(err)
 	}
-	return m, space, &dse.ModelEvaluator{Model: m}
+	space, err := dse.SpaceFor(fm, per)
+	if err != nil {
+		t.Fatalf("SpaceFor: %v", err)
+	}
+	return m, space, dse.NewFamilyEvaluator(fm)
 }
 
 func TestRunBasic(t *testing.T) {

@@ -16,10 +16,9 @@ import (
 // evaluations than a cold run, serve its simulated slice entirely from
 // cache, and still report the bit-identical optimum.
 func TestWarmEngineReusesSweepResults(t *testing.T) {
-	m, space, _ := testSetup(t, 3)
-	// ModelEvaluator implements CtxEvaluator and Fingerprinter directly,
-	// so the sweep and the APS slice memoize under one key space.
-	eval := &dse.ModelEvaluator{Model: m}
+	// The family evaluator implements CtxEvaluator and Fingerprinter
+	// directly, so the sweep and the APS slice memoize under one key space.
+	m, space, eval := testSetup(t, 3)
 	ctx := context.Background()
 	opts := Options{Optimize: core.Options{MaxN: 64}}
 
@@ -78,8 +77,7 @@ func TestWarmEngineReusesSweepResults(t *testing.T) {
 // run-private engine still memoizes, so the optimizer's repeated probes
 // of one design are deduplicated within a single APS invocation.
 func TestPrivateEngineSharesCacheWithinRun(t *testing.T) {
-	m, space, _ := testSetup(t, 3)
-	eval := &dse.ModelEvaluator{Model: m}
+	m, space, eval := testSetup(t, 3)
 	res, err := RunCtx(context.Background(), m, space, eval, Options{Optimize: core.Options{MaxN: 64}})
 	if err != nil {
 		t.Fatalf("RunCtx: %v", err)

@@ -6,9 +6,7 @@ import (
 	"encoding/json"
 	"testing"
 
-	"repro/internal/chip"
 	"repro/internal/core"
-	"repro/internal/dse"
 	"repro/internal/engine"
 	"repro/internal/obs"
 )
@@ -19,18 +17,13 @@ import (
 // engine.Stats field exactly — the dual-increment sites must never
 // drift.
 func TestEngineMetricsBitExact(t *testing.T) {
-	m := core.Model{Chip: chip.DefaultConfig(), App: core.FluidanimateApp()}
-	space, err := dse.ReducedSpace(m.Chip, 3)
-	if err != nil {
-		t.Fatalf("ReducedSpace: %v", err)
-	}
+	m, space, eval := testSetup(t, 3)
 
 	tr := obs.NewTracer(1 << 13)
 	reg := obs.NewRegistry()
 	eng := engine.New(engine.Options{Workers: 2, Tracer: tr, Metrics: reg})
 	ctx := obs.ContextWithMetrics(obs.ContextWithTracer(context.Background(), tr), reg)
 
-	eval := &dse.ModelEvaluator{Model: m}
 	opts := Options{Engine: eng, Optimize: core.Options{MaxN: 64}}
 	if _, err := RunCtx(ctx, m, space, eval, opts); err != nil {
 		t.Fatalf("cold APS run: %v", err)

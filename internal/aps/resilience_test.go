@@ -73,9 +73,8 @@ func TestRunCtxCancelledBeforeSweep(t *testing.T) {
 }
 
 func TestRunCtxCancelMidSweepReturnsPartialReport(t *testing.T) {
-	m, space, _ := testSetup(t, 4)
+	m, space, inner := testSetup(t, 4)
 	ctx, cancel := context.WithCancel(context.Background())
-	inner := &dse.ModelEvaluator{Model: m}
 	calls := 0
 	eval := robust.EvaluatorFunc(func(c context.Context, p []float64) (float64, error) {
 		calls++

@@ -7,9 +7,9 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/chip"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/model"
 	"repro/internal/robust"
 )
 
@@ -18,25 +18,33 @@ import (
 // bits, same cache accounting, same sweep optimum — across every catalog
 // model, with and without injected faults.
 
-func diffModels() []core.Model {
-	cfg := chip.DefaultConfig()
-	return []core.Model{
-		{Chip: cfg, App: core.TMMApp()},
-		{Chip: cfg, App: core.StencilApp()},
-		{Chip: cfg, App: core.FFTApp()},
-		{Chip: cfg, App: core.FluidanimateApp()},
-	}
+func diffApps() []core.App {
+	return []core.App{core.TMMApp(), core.StencilApp(), core.FFTApp(), core.FluidanimateApp()}
 }
 
+// fingerprinted is an evaluator the engine memoizes.
+type fingerprinted interface {
+	CtxEvaluator
+	engine.Fingerprinter
+}
+
+// scalarOnly hides an evaluator's EvaluateBatch, so the engine dispatches
+// it point by point: the scalar path is the reference the batched one is
+// compared against.
+type scalarOnly struct{ fingerprinted }
+
 // runDiffSweep sweeps the whole space twice on one engine (cold pass then
-// warm pass) and returns the final values plus the engine's stats.
-func runDiffSweep(t *testing.T, ev CtxEvaluator, s Space, disableBatch bool, passes int) ([]float64, engine.Stats) {
+// warm pass) and returns the final values plus the engine's stats. With
+// scalar set the evaluator runs on the engine's scalar path.
+func runDiffSweep(t *testing.T, ev fingerprinted, s Space, scalar bool, passes int) ([]float64, engine.Stats) {
 	t.Helper()
+	if scalar {
+		ev = scalarOnly{ev}
+	}
 	eng := engine.New(engine.Options{
-		Workers:      4,
-		CacheSize:    s.Size() + 16,
-		Retry:        robust.RetryPolicy{MaxAttempts: 10},
-		DisableBatch: disableBatch,
+		Workers:   4,
+		CacheSize: s.Size() + 16,
+		Retry:     robust.RetryPolicy{MaxAttempts: 10},
 	})
 	var values []float64
 	for p := 0; p < passes; p++ {
@@ -44,11 +52,11 @@ func runDiffSweep(t *testing.T, ev CtxEvaluator, s Space, disableBatch bool, pas
 		var err error
 		values, rep, err = SweepCtx(context.Background(), ev, s, nil, SweepOptions{Engine: eng})
 		if err != nil {
-			t.Fatalf("sweep (disableBatch=%v pass=%d): %v", disableBatch, p, err)
+			t.Fatalf("sweep (scalar=%v pass=%d): %v", scalar, p, err)
 		}
 		if len(rep.Failed) != 0 {
-			t.Fatalf("sweep (disableBatch=%v pass=%d): %d points failed, first %+v",
-				disableBatch, p, len(rep.Failed), rep.Failed[0])
+			t.Fatalf("sweep (scalar=%v pass=%d): %d points failed, first %+v",
+				scalar, p, len(rep.Failed), rep.Failed[0])
 		}
 	}
 	return values, eng.Stats()
@@ -58,19 +66,17 @@ func runDiffSweep(t *testing.T, ev CtxEvaluator, s Space, disableBatch bool, pas
 // and the scalar engine paths for every catalog model and demands
 // bit-identical values, identical cache accounting, and the same optimum.
 func TestDifferentialBatchVsScalar(t *testing.T) {
-	for _, m := range diffModels() {
-		m := m
-		t.Run(m.App.Name, func(t *testing.T) {
+	for _, app := range diffApps() {
+		app := app
+		t.Run(app.Name, func(t *testing.T) {
 			t.Parallel()
-			s, err := ReducedSpace(m.Chip, 4)
-			if err != nil {
-				t.Fatalf("ReducedSpace: %v", err)
-			}
+			m := c2Model(t, app)
+			s := c2Space(t, 4)
 			// Fresh evaluators per path: the sync.Once-guarded compiled
 			// kernel must agree with the scalar model on its own, not by
 			// sharing state.
-			batchVals, batchStats := runDiffSweep(t, &ModelEvaluator{Model: m}, s, false, 2)
-			scalVals, scalStats := runDiffSweep(t, &ModelEvaluator{Model: m}, s, true, 2)
+			batchVals, batchStats := runDiffSweep(t, NewFamilyEvaluator(m), s, false, 2)
+			scalVals, scalStats := runDiffSweep(t, NewFamilyEvaluator(m), s, true, 2)
 
 			if len(batchVals) != len(scalVals) {
 				t.Fatalf("value lengths differ: %d vs %d", len(batchVals), len(scalVals))
@@ -108,14 +114,14 @@ var errTransient = errors.New("injected transient fault")
 // attempt for a deterministic ~20% of points, on both the scalar and the
 // batched path, so the differential test exercises the retry machinery.
 type faultInjector struct {
-	inner *ModelEvaluator
+	inner *FamilyEvaluator
 
 	mu   sync.Mutex
 	seen map[uint64]bool // point key -> first attempt already failed
 }
 
-func newFaultInjector(m core.Model) *faultInjector {
-	return &faultInjector{inner: &ModelEvaluator{Model: m}, seen: make(map[uint64]bool)}
+func newFaultInjector(m model.Model) *faultInjector {
+	return &faultInjector{inner: NewFamilyEvaluator(m), seen: make(map[uint64]bool)}
 }
 
 // pointKey mixes the coordinates into a deterministic identity. A test
@@ -177,15 +183,13 @@ func (f *faultInjector) Fingerprint() string {
 // construction (a batch retries its whole chunk), so only values and
 // optima must match — and they must match the fault-free run too.
 func TestDifferentialBatchVsScalarWithFaults(t *testing.T) {
-	for _, m := range diffModels() {
-		m := m
-		t.Run(m.App.Name, func(t *testing.T) {
+	for _, app := range diffApps() {
+		app := app
+		t.Run(app.Name, func(t *testing.T) {
 			t.Parallel()
-			s, err := ReducedSpace(m.Chip, 3)
-			if err != nil {
-				t.Fatalf("ReducedSpace: %v", err)
-			}
-			cleanVals, _ := runDiffSweep(t, &ModelEvaluator{Model: m}, s, false, 1)
+			m := c2Model(t, app)
+			s := c2Space(t, 3)
+			cleanVals, _ := runDiffSweep(t, NewFamilyEvaluator(m), s, false, 1)
 			batchVals, _ := runDiffSweep(t, newFaultInjector(m), s, false, 1)
 			scalVals, _ := runDiffSweep(t, newFaultInjector(m), s, true, 1)
 

@@ -7,16 +7,32 @@ import (
 
 	"repro/internal/chip"
 	"repro/internal/core"
+	"repro/internal/model"
 )
 
-func paperSpace(t *testing.T) Space {
+// c2Model builds the paper's c2bound objective for an application
+// profile on the default chip.
+func c2Model(t testing.TB, app core.App) model.Model {
 	t.Helper()
-	s, err := PaperSpace(chip.DefaultConfig())
+	m, err := model.New(model.FamilyC2Bound, model.Config{Chip: chip.DefaultConfig(), App: app})
 	if err != nil {
-		t.Fatalf("PaperSpace: %v", err)
+		t.Fatal(err)
+	}
+	return m
+}
+
+// c2Space returns the §IV space subsampled to per values per dimension
+// (per ≤ 0: the full 10⁶-point grid).
+func c2Space(t testing.TB, per int) Space {
+	t.Helper()
+	s, err := SpaceFor(c2Model(t, core.TMMApp()), per)
+	if err != nil {
+		t.Fatalf("SpaceFor: %v", err)
 	}
 	return s
 }
+
+func paperSpace(t *testing.T) Space { return c2Space(t, 0) }
 
 func TestNewSpaceValidation(t *testing.T) {
 	if _, err := NewSpace(); err == nil {
@@ -205,17 +221,16 @@ func TestBestEmptyAndInfinite(t *testing.T) {
 	}
 }
 
+// TestReducedSpace checks the subsampled §IV space and SpaceFor's edge
+// rule: per outside 1..9 keeps the full grid (callers that take per
+// from users, the catalog and the CLIs, range-check it themselves).
 func TestReducedSpace(t *testing.T) {
-	cfg := chip.DefaultConfig()
-	s, err := ReducedSpace(cfg, 3)
-	if err != nil {
-		t.Fatalf("ReducedSpace: %v", err)
-	}
+	s := c2Space(t, 3)
 	if s.Size() != 729 {
 		t.Fatalf("reduced size = %d, want 3^6", s.Size())
 	}
 	// Largest values preserved.
-	full, _ := PaperSpace(cfg)
+	full := paperSpace(t)
 	for d := range s.Params {
 		fv := full.Params[d].Values
 		rv := s.Params[d].Values
@@ -223,11 +238,10 @@ func TestReducedSpace(t *testing.T) {
 			t.Fatalf("dim %d: max value %v != full max %v", d, rv[len(rv)-1], fv[len(fv)-1])
 		}
 	}
-	if _, err := ReducedSpace(cfg, 0); err == nil {
-		t.Error("per=0 accepted")
-	}
-	if _, err := ReducedSpace(cfg, 11); err == nil {
-		t.Error("per=11 accepted")
+	for _, per := range []int{-1, 0, 10, 11} {
+		if got := c2Space(t, per).Size(); got != full.Size() {
+			t.Errorf("per=%d: %d points, want the full %d", per, got, full.Size())
+		}
 	}
 }
 
@@ -285,8 +299,7 @@ func TestSimEvaluatorDeterministic(t *testing.T) {
 }
 
 func TestModelEvaluator(t *testing.T) {
-	m := core.Model{Chip: chip.DefaultConfig(), App: core.FluidanimateApp()}
-	ev := &ModelEvaluator{Model: m}
+	ev := NewFamilyEvaluator(c2Model(t, core.FluidanimateApp()))
 	good := ev.Evaluate([]float64{4, 1, 4, 8, 4, 128})
 	if math.IsInf(good, 1) {
 		t.Fatal("feasible point infinite")

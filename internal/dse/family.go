@@ -11,10 +11,8 @@ import (
 
 // SpaceFor converts a model family's declared design space into a sweep
 // Space, subsampled to at most `per` values per dimension (per ≤ 0
-// keeps the family's full default grids). For the c2bound family the
-// result is identical to ReducedSpace/PaperSpace — the subsample rule
-// is shared — so family-generic callers and the paper-space helpers
-// sweep the same designs.
+// keeps the family's full default grids). For the c2bound family this
+// is the paper's §IV space: 10⁶ designs in full, per⁶ subsampled.
 func SpaceFor(m model.Model, per int) (Space, error) {
 	ms := m.Space()
 	grids, err := ms.Grids(per)
@@ -29,7 +27,8 @@ func SpaceFor(m model.Model, per int) (Space, error) {
 }
 
 // FamilyEvaluator scores configurations with any registered model
-// family. It is the family-generic sibling of ModelEvaluator: the
+// family; over the c2bound family it is the paper's objective, the
+// catalog evaluator behind the server, the CLIs and the benchmarks. The
 // scalar path uses the family's direct (uncompiled) evaluation, whole
 // planes ride the engine's batched path through the compiled kernel,
 // and the family contract makes the two bit-identical. Use by pointer —

@@ -21,39 +21,68 @@ func familyModel(t *testing.T, name string) model.Model {
 	return m
 }
 
-// TestSpaceForMatchesReducedSpace pins the compatibility contract: the
-// family-generic space of the c2bound family equals the paper-space
-// helpers exactly, both full (PaperSpace) and subsampled (ReducedSpace),
-// so old and new callers sweep identical designs.
+// paperGrids is the golden §IV grid, written out independently of the
+// c2bound family: N and the two microarchitectural dimensions are
+// literal, and the per-core area budget left at the largest N is split
+// 42/18/38% between A0, A1 and A2 so every combination fits the chip.
+// A subsample keeps per values spread across each grid, always including
+// the largest.
+func paperGrids(cfg chip.Config, per int) [][]float64 {
+	ns := []float64{1, 2, 3, 4, 6, 8, 12, 16, 24, 32}
+	maxPerCore := (cfg.TotalArea - cfg.FixedArea) / ns[len(ns)-1]
+	steps := func(max float64) []float64 {
+		vals := make([]float64, 10)
+		for i := range vals {
+			vals[i] = max * float64(i+1) / 10
+		}
+		return vals
+	}
+	grids := [][]float64{
+		steps(0.42 * maxPerCore),
+		steps(0.18 * maxPerCore),
+		steps(0.38 * maxPerCore),
+		ns,
+		{1, 2, 3, 4, 5, 6, 7, 8, 12, 16},
+		{16, 32, 48, 64, 96, 128, 160, 192, 224, 256},
+	}
+	if per <= 0 || per >= 10 {
+		return grids
+	}
+	for i, g := range grids {
+		vals := make([]float64, per)
+		for j := range vals {
+			vals[j] = g[(j+1)*len(g)/per-1]
+		}
+		grids[i] = vals
+	}
+	return grids
+}
+
+// TestSpaceForMatchesReducedSpace pins the c2bound family's space to the
+// golden §IV grid bit for bit, both full and subsampled, with the
+// dimension names in point order.
 func TestSpaceForMatchesReducedSpace(t *testing.T) {
 	m := familyModel(t, model.FamilyC2Bound)
+	names := []string{DimA0, DimA1, DimA2, DimN, DimIssue, DimROB}
 	for _, per := range []int{0, 1, 2, 3, 5, 10} {
 		got, err := SpaceFor(m, per)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var want Space
-		if per == 0 {
-			want, err = PaperSpace(chip.DefaultConfig())
-		} else {
-			want, err = ReducedSpace(chip.DefaultConfig(), per)
+		want := paperGrids(chip.DefaultConfig(), per)
+		if len(got.Params) != len(want) {
+			t.Fatalf("per=%d: %d dims, want %d", per, len(got.Params), len(want))
 		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got.Params) != len(want.Params) {
-			t.Fatalf("per=%d: %d dims, want %d", per, len(got.Params), len(want.Params))
-		}
-		for i := range got.Params {
-			if got.Params[i].Name != want.Params[i].Name {
-				t.Fatalf("per=%d dim %d: name %q, want %q", per, i, got.Params[i].Name, want.Params[i].Name)
+		for i, p := range got.Params {
+			if p.Name != names[i] {
+				t.Fatalf("per=%d dim %d: name %q, want %q", per, i, p.Name, names[i])
 			}
-			if len(got.Params[i].Values) != len(want.Params[i].Values) {
-				t.Fatalf("per=%d dim %s: %d values, want %d", per, got.Params[i].Name, len(got.Params[i].Values), len(want.Params[i].Values))
+			if len(p.Values) != len(want[i]) {
+				t.Fatalf("per=%d dim %s: %d values, want %d", per, p.Name, len(p.Values), len(want[i]))
 			}
-			for j := range got.Params[i].Values {
-				if math.Float64bits(got.Params[i].Values[j]) != math.Float64bits(want.Params[i].Values[j]) {
-					t.Fatalf("per=%d dim %s[%d]: %v, want %v", per, got.Params[i].Name, j, got.Params[i].Values[j], want.Params[i].Values[j])
+			for j, v := range p.Values {
+				if math.Float64bits(v) != math.Float64bits(want[i][j]) {
+					t.Fatalf("per=%d dim %s[%d]: %v, want %v", per, p.Name, j, v, want[i][j])
 				}
 			}
 		}
@@ -61,22 +90,43 @@ func TestSpaceForMatchesReducedSpace(t *testing.T) {
 }
 
 // TestFamilyEvaluatorMatchesModelEvaluator pins the c2bound family to
-// the original catalog evaluator bit-for-bit over a reduced space.
+// the paper objective written out inline — the uncompiled Eq. 10 time
+// with the issue/ROB corrections, +Inf where the design does not fit —
+// bit-for-bit over a reduced space, on both the scalar and the batched
+// evaluator path.
 func TestFamilyEvaluatorMatchesModelEvaluator(t *testing.T) {
-	m := familyModel(t, model.FamilyC2Bound)
-	fam := NewFamilyEvaluator(m)
-	old := &ModelEvaluator{Model: core.Model{Chip: chip.DefaultConfig(), App: core.TMMApp()}}
-	s, err := ReducedSpace(chip.DefaultConfig(), 3)
+	fam := NewFamilyEvaluator(familyModel(t, model.FamilyC2Bound))
+	ref := core.Model{Chip: chip.DefaultConfig(), App: core.TMMApp()}
+	s, err := SpaceFor(fam.M, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for idx := 0; idx < s.Size(); idx++ {
-		p := s.Point(idx)
-		got := fam.Evaluate(p)
-		want := old.Evaluate(p)
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("point %v: family=%x model=%x", p, math.Float64bits(got), math.Float64bits(want))
+	points := make([][]float64, s.Size())
+	for i := range points {
+		points[i] = s.Point(i)
+	}
+	batched := make([]float64, len(points))
+	if err := fam.EvaluateBatch(context.Background(), points, batched); err != nil {
+		t.Fatal(err)
+	}
+	feasible := 0
+	for i, p := range points {
+		want := math.Inf(1)
+		d := chip.Design{N: int(p[3] + 0.5), CoreArea: p[0], L1Area: p[1], L2Area: p[2]}
+		if e, err := ref.Evaluate(d); err == nil {
+			issue, rob := p[4], p[5]
+			want = e.Time * (1 + 0.6/issue) * (1 + 24/rob)
+			feasible++
 		}
+		if got := fam.Evaluate(p); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("scalar point %v: family=%x reference=%x", p, math.Float64bits(got), math.Float64bits(want))
+		}
+		if got := batched[i]; math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("batched point %v: family=%x reference=%x", p, math.Float64bits(got), math.Float64bits(want))
+		}
+	}
+	if feasible == 0 {
+		t.Fatal("no feasible point; the comparison is vacuous")
 	}
 }
 
@@ -96,15 +146,15 @@ func TestFamilyBatchMatchesScalar(t *testing.T) {
 				points[i] = s.Point(i)
 			}
 			ctx := context.Background()
-			run := func(disableBatch bool) []float64 {
-				eng := engine.New(engine.Options{Workers: 4, DisableBatch: disableBatch})
+			run := func(ev fingerprinted) []float64 {
+				eng := engine.New(engine.Options{Workers: 4})
 				out := make([]float64, len(points))
-				if err := eng.EvaluateBatch(ctx, NewFamilyEvaluator(m), points, out); err != nil {
+				if err := eng.EvaluateBatch(ctx, ev, points, out); err != nil {
 					t.Fatal(err)
 				}
 				return out
 			}
-			batched, scalar := run(false), run(true)
+			batched, scalar := run(NewFamilyEvaluator(m)), run(scalarOnly{NewFamilyEvaluator(m)})
 			for i := range batched {
 				if math.Float64bits(batched[i]) != math.Float64bits(scalar[i]) {
 					t.Fatalf("%s point %v: batched=%x scalar=%x", name, points[i], math.Float64bits(batched[i]), math.Float64bits(scalar[i]))

@@ -9,20 +9,13 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/chip"
 	"repro/internal/core"
 	"repro/internal/robust"
 )
 
-func modelEvalSpace(t *testing.T, per int) (*ModelEvaluator, Space) {
+func modelEvalSpace(t *testing.T, per int) (*FamilyEvaluator, Space) {
 	t.Helper()
-	cfg := chip.DefaultConfig()
-	s, err := ReducedSpace(cfg, per)
-	if err != nil {
-		t.Fatalf("ReducedSpace: %v", err)
-	}
-	m := core.Model{Chip: cfg, App: core.FluidanimateApp()}
-	return &ModelEvaluator{Model: m}, s
+	return NewFamilyEvaluator(c2Model(t, core.FluidanimateApp())), c2Space(t, per)
 }
 
 func TestSweepCtxMatchesPlainSweep(t *testing.T) {

@@ -42,6 +42,16 @@ func (q *quadEval) EvaluateBatch(_ context.Context, pts [][]float64, out []float
 	return nil
 }
 
+// scalarOnly hides a batch evaluator's EvaluateBatch, so the engine
+// dispatches it point by point: the scalar path is the reference the
+// batched one is compared against.
+type scalarOnly struct{ scalarEvaluator }
+
+type scalarEvaluator interface {
+	robust.Evaluator
+	Fingerprinter
+}
+
 func testPlane(n int) [][]float64 {
 	pts := make([][]float64, n)
 	for i := range pts {
@@ -55,8 +65,8 @@ func TestBatchStreamMatchesScalar(t *testing.T) {
 	scalar := make([]float64, len(pts))
 	batch := make([]float64, len(pts))
 
-	es := New(Options{Workers: 4, DisableBatch: true})
-	if err := es.EvaluateBatch(context.Background(), &quadEval{}, pts, scalar); err != nil {
+	es := New(Options{Workers: 4})
+	if err := es.EvaluateBatch(context.Background(), scalarOnly{&quadEval{}}, pts, scalar); err != nil {
 		t.Fatal(err)
 	}
 	eb := New(Options{Workers: 4})
@@ -261,12 +271,12 @@ func BenchmarkWarmHit(b *testing.B) {
 // cache (per-point cost of chunked vs scalar submission).
 func BenchmarkBatchStream(b *testing.B) {
 	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"batched", false}, {"scalar", true}} {
+		name string
+		ev   robust.Evaluator
+	}{{"batched", &quadEval{}}, {"scalar", scalarOnly{&quadEval{}}}} {
 		b.Run(mode.name, func(b *testing.B) {
-			e := New(Options{Workers: 4, DisableBatch: mode.disable})
-			q := &quadEval{}
+			e := New(Options{Workers: 4})
+			q := mode.ev
 			pts := testPlane(4096)
 			ctx := context.Background()
 			out := make([]float64, len(pts))

@@ -103,7 +103,9 @@ type Options struct {
 	// registry (engine_*_total, engine_inflight, engine_eval_seconds).
 	// The instruments are resolved once here at construction, so the
 	// evaluation hot path never performs a registry or context lookup.
-	// Nil disables the mirror.
+	// Several engines may share one registry, in which case its counters
+	// sum across them while each engine's Stats stays its own. Nil
+	// disables the mirror.
 	Metrics *obs.Registry
 	// Gate, when non-nil, schedules EvaluateStream points: each point
 	// acquires a gate slot (in addition to the engine's own worker
@@ -113,10 +115,6 @@ type Options struct {
 	// are bounded by the caller's own admission control. On the batched
 	// path the gate arbitrates chunks rather than points.
 	Gate Gate
-	// DisableBatch forces EvaluateStream onto the scalar per-point path
-	// even for evaluators that implement BatchEvaluator. It exists for
-	// differential testing and benchmarking of the two paths.
-	DisableBatch bool
 }
 
 // DefaultCacheSize is the memoization capacity when Options.CacheSize is
@@ -155,12 +153,11 @@ type call struct {
 // Engine is the memoizing, metered evaluation service. Safe for
 // concurrent use.
 type Engine struct {
-	workers      int
-	retry        robust.RetryPolicy
-	rng          *robust.RNG
-	sem          chan struct{}
-	gate         Gate
-	disableBatch bool
+	workers int
+	retry   robust.RetryPolicy
+	rng     *robust.RNG
+	sem     chan struct{}
+	gate    Gate
 
 	mu       sync.Mutex
 	cache    *lruCache // nil when caching is disabled
@@ -175,7 +172,11 @@ type Engine struct {
 
 // instruments are the engine's pre-resolved observability handles. They
 // mirror the private counters one-for-one at the exact same increment
-// sites, so a metrics snapshot and Stats always agree bit-for-bit. Every
+// sites, so for an engine that owns its registry a metrics snapshot and
+// Stats agree bit-for-bit. The two sets are kept apart because a
+// registry may be shared: the façade's per-call private engines all
+// count into one WithMetrics registry, whose engine_*_total counters are
+// then the sum across engines while each Stats stays per engine. Every
 // field is a valid no-op when nil (disabled registry).
 type instruments struct {
 	requests    *obs.Counter
@@ -217,16 +218,15 @@ func New(opts Options) *Engine {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	e := &Engine{
-		workers:      workers,
-		retry:        opts.Retry,
-		rng:          robust.NewRNG(opts.Seed),
-		sem:          make(chan struct{}, workers),
-		gate:         opts.Gate,
-		disableBatch: opts.DisableBatch,
-		inflight:     make(map[uint64]*call),
-		fps:          make(map[string]uint32),
-		tracer:       opts.Tracer,
-		obs:          newInstruments(opts.Metrics),
+		workers:  workers,
+		retry:    opts.Retry,
+		rng:      robust.NewRNG(opts.Seed),
+		sem:      make(chan struct{}, workers),
+		gate:     opts.Gate,
+		inflight: make(map[uint64]*call),
+		fps:      make(map[string]uint32),
+		tracer:   opts.Tracer,
+		obs:      newInstruments(opts.Metrics),
 	}
 	if opts.CacheSize >= 0 {
 		size := opts.CacheSize
@@ -402,7 +402,7 @@ func (e *Engine) EvaluateStream(ctx context.Context, ev robust.Evaluator, points
 	if n == 0 {
 		return ctx.Err()
 	}
-	if be, ok := ev.(BatchEvaluator); ok && !e.disableBatch {
+	if be, ok := ev.(BatchEvaluator); ok {
 		return e.streamBatched(ctx, ev, be, points, yield)
 	}
 	workers := e.workers

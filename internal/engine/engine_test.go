@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/robust"
 )
 
@@ -349,5 +350,48 @@ func TestStatsDeltaAndString(t *testing.T) {
 	}
 	if hr := d.HitRate(); hr != 0.5 {
 		t.Fatalf("hit rate = %v", hr)
+	}
+}
+
+// TestSharedRegistrySumsAcrossEngines pins why the engine keeps its own
+// counters beside the registry instruments: two engines on one registry
+// (the façade's per-call private engines under one WithMetrics) each
+// report their own Stats, while the registry's engine_*_total counters
+// are the sum across both.
+func TestSharedRegistrySumsAcrossEngines(t *testing.T) {
+	reg := obs.NewRegistry()
+	ctx := context.Background()
+	a := New(Options{Workers: 2, Metrics: reg})
+	b := New(Options{Workers: 2, Metrics: reg})
+	ev := &countingEval{fp: "shared-registry"}
+	for _, x := range []float64{1, 2, 3, 1} {
+		if _, err := a.Evaluate(ctx, ev, []float64{x}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, x := range []float64{1, 5} {
+		if _, err := b.Evaluate(ctx, ev, []float64{x}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sa, sb := a.Stats(), b.Stats()
+	if sa.Requests != 4 || sa.Evaluations != 3 || sa.CacheHits != 1 {
+		t.Fatalf("engine a stats = %+v, want 4 requests, 3 evaluations, 1 hit", sa)
+	}
+	if sb.Requests != 2 || sb.Evaluations != 2 || sb.CacheHits != 0 {
+		t.Fatalf("engine b stats = %+v, want 2 requests, 2 evaluations, 0 hits", sb)
+	}
+	for _, c := range []struct {
+		name string
+		want uint64
+	}{
+		{"engine_requests_total", sa.Requests + sb.Requests},
+		{"engine_evaluations_total", sa.Evaluations + sb.Evaluations},
+		{"engine_cache_hits_total", sa.CacheHits + sb.CacheHits},
+		{"engine_cache_misses_total", sa.CacheMisses + sb.CacheMisses},
+	} {
+		if got := reg.Counter(c.name).Value(); got != c.want {
+			t.Errorf("%s = %d, want the sum across engines %d", c.name, got, c.want)
+		}
 	}
 }

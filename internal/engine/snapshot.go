@@ -27,8 +27,11 @@ import (
 // and fully parses the blob before touching the cache, so a truncated or
 // corrupt file is a clean error, never a partial restore.
 
-// snapshotMagic identifies a version-1 snapshot file.
-var snapshotMagic = [8]byte{'C', '2', 'B', 'S', 'N', 'A', 'P', 1}
+// snapshotMagic identifies a version-2 snapshot file. Version 2 marks
+// the c2bound objective's move to its family fingerprint
+// ("model/c2bound:…"): a version-1 file's entries could never hit again,
+// so it is rejected whole and the cache cold-starts.
+var snapshotMagic = [8]byte{'C', '2', 'B', 'S', 'N', 'A', 'P', 2}
 
 // snapshotEntry is one parsed cache entry awaiting installation.
 type snapshotEntry struct {

@@ -2,9 +2,11 @@ package engine
 
 import (
 	"context"
+	"encoding/binary"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -152,6 +154,53 @@ func TestSnapshotTruncatedAndCorruptAreCleanErrors(t *testing.T) {
 		if n != 0 || e2.CacheLen() != 0 {
 			t.Errorf("%s: partial restore (n=%d, cache=%d), want none", name, n, e2.CacheLen())
 		}
+	}
+}
+
+// TestSnapshotRejectsVersion1 loads a well-formed version-1 blob (valid
+// checksum, old version byte) into a warm engine: the whole file must be
+// rejected and the cache left exactly as it was. Version-1 files hold
+// c2bound entries under a retired fingerprint that could never hit.
+func TestSnapshotRejectsVersion1(t *testing.T) {
+	dir := t.TempDir()
+	src := New(Options{Workers: 2, CacheSize: 256})
+	fillEngine(t, src, snapEval{fp: "snap/v1"}, 16)
+	path := filepath.Join(dir, "v1.snap")
+	if _, err := src.SaveSnapshot(path); err != nil {
+		t.Fatalf("SaveSnapshot: %v", err)
+	}
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob[7] = 1
+	payload := blob[:len(blob)-8]
+	blob = binary.LittleEndian.AppendUint64(payload, fnvSum(payload))
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	e := New(Options{Workers: 2, CacheSize: 256})
+	warm := snapEval{fp: "snap/warm"}
+	points := fillEngine(t, e, warm, 8)
+	before := e.Stats()
+	n, err := e.LoadSnapshot(path)
+	if err == nil || !strings.Contains(err.Error(), "unsupported version") {
+		t.Fatalf("LoadSnapshot(v1) = %d, %v; want an unsupported-version error", n, err)
+	}
+	if n != 0 || e.CacheLen() != len(points) {
+		t.Fatalf("v1 load touched the cache: n=%d, cache=%d, want 0 and %d", n, e.CacheLen(), len(points))
+	}
+	hits := 0
+	if err := e.EvaluateStream(context.Background(), warm, points, func(_ int, o Outcome) {
+		if o.CacheHit {
+			hits++
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if hits != len(points) || e.Stats().Evaluations != before.Evaluations {
+		t.Fatalf("warm entries lost after v1 load: %d/%d hits", hits, len(points))
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dse"
 	"repro/internal/engine"
+	"repro/internal/model"
 	"repro/internal/sim"
 	"repro/internal/speedup"
 	"repro/internal/tablefmt"
@@ -23,6 +24,19 @@ func fluidanimateModel() core.Model {
 	app.G = speedup.FixedSize()
 	app.GOrder = 0
 	return core.Model{Chip: chip.DefaultConfig(), App: app}
+}
+
+// fluidanimateSpace returns the fixed-size fluidanimate objective as the
+// c2bound family and its §IV space subsampled to per values per
+// dimension.
+func fluidanimateSpace(per int) (model.Model, dse.Space, error) {
+	m := fluidanimateModel()
+	fm, err := model.New(model.FamilyC2Bound, model.Config{Chip: m.Chip, App: m.App})
+	if err != nil {
+		return nil, dse.Space{}, err
+	}
+	space, err := dse.SpaceFor(fm, per)
+	return fm, space, err
 }
 
 // Fig12Data carries the simulation-count comparison of Fig. 12 plus the
@@ -64,7 +78,7 @@ func Fig12SimulationCounts(sc Scale) (*tablefmt.Table, Fig12Data, error) {
 func Fig12SimulationCountsCtx(ctx context.Context, sc Scale) (*tablefmt.Table, Fig12Data, error) {
 	sc.fill()
 	m := fluidanimateModel()
-	space, err := dse.ReducedSpace(m.Chip, sc.SpacePer)
+	_, space, err := fluidanimateSpace(sc.SpacePer)
 	if err != nil {
 		return nil, Fig12Data{}, err
 	}

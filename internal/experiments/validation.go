@@ -21,15 +21,15 @@ type ValidationResult struct {
 }
 
 // CrossValidate samples design points from the reduced space, scores each
-// with both the analytic model (plus the issue/ROB corrections of
-// dse.ModelEvaluator) and the full simulator, and reports rank agreement.
+// with both the analytic c2bound objective (Eq. 10 plus the issue/ROB
+// corrections) and the full simulator, and reports rank agreement.
 func CrossValidate(sc Scale, samples int) (*tablefmt.Table, ValidationResult, error) {
 	sc.fill()
 	if samples < 4 {
 		samples = 24
 	}
 	m := fluidanimateModel()
-	space, err := dse.ReducedSpace(m.Chip, 4)
+	fm, space, err := fluidanimateSpace(4)
 	if err != nil {
 		return nil, ValidationResult{}, err
 	}
@@ -37,7 +37,7 @@ func CrossValidate(sc Scale, samples int) (*tablefmt.Table, ValidationResult, er
 	if err != nil {
 		return nil, ValidationResult{}, err
 	}
-	modelEval := &dse.ModelEvaluator{Model: m}
+	modelEval := dse.NewFamilyEvaluator(fm)
 
 	// Deterministic sample of distinct indices.
 	rng := sc.Seed*0x9e3779b97f4a7c15 + 0x51ca

@@ -24,8 +24,8 @@ func init() {
 	})
 }
 
-// C2Bound adapts the paper's C²-Bound model (core.Model plus the
-// issue/ROB corrections of dse.ModelEvaluator) to the family contract.
+// C2Bound adapts the paper's C²-Bound model (core.Model plus first-order
+// issue/ROB corrections) to the family contract.
 // Its six-dimensional space is the §IV paper space: per-core area split
 // (A0, A1, A2), core count N, issue width and ROB size.
 type C2Bound struct {
@@ -42,15 +42,15 @@ func (m *C2Bound) Fingerprint() string {
 	return FingerprintPrefix(FamilyC2Bound) + m.m.Fingerprint()
 }
 
-// Space implements Model: the six paper dimensions with the same grids
-// as dse.PaperSpace (ten values each, chosen so every combination fits
-// the chip budget).
+// Space implements Model: the §IV paper space, six dimensions of ten
+// values each (10⁶ configurations), chosen so every combination fits the
+// chip budget (so the ground-truth sweep has no infeasible holes, as in
+// the paper's full-space simulation).
 func (m *C2Bound) Space() Space {
 	cfg := m.m.Chip
 	ns := []float64{1, 2, 3, 4, 6, 8, 12, 16, 24, 32}
 	maxPerCore := (cfg.TotalArea - cfg.FixedArea) / ns[len(ns)-1]
-	// The same per-core budget split as dse.PaperSpace: A0+A1+A2 maxima
-	// sum below maxPerCore so the full grid has no infeasible holes.
+	// Split the per-core budget so A0+A1+A2 maxima sum below maxPerCore.
 	steps := func(max float64) []float64 {
 		vals := make([]float64, 10)
 		for i := range vals {
@@ -116,9 +116,10 @@ func c2Design(point []float64) (chip.Design, bool) {
 	}, true
 }
 
-// c2Correct applies the first-order issue/ROB corrections of
-// dse.ModelEvaluator: narrow issue serializes instruction delivery; a
-// small ROB caps the memory overlap the C-AMAT concurrency assumed.
+// c2Correct applies the first-order corrections for the two
+// microarchitectural dimensions the analytic model does not carry:
+// narrow issue serializes instruction delivery; a small ROB caps the
+// memory overlap the C-AMAT concurrency assumed.
 func c2Correct(t float64, point []float64) float64 {
 	issue, rob := point[4], point[5]
 	return t * (1 + 0.6/issue) * (1 + 24/rob)

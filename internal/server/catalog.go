@@ -48,11 +48,11 @@ type ModelSpec struct {
 }
 
 // SpaceSpec describes the design space of a sweep or APS request: either
-// a subsampled paper space (Per values per dimension) or an explicit
-// parameter grid.
+// the model family's declared space subsampled to Per values per
+// dimension or an explicit parameter grid.
 type SpaceSpec struct {
-	// Per subsamples the paper's six-dimension space to this many values
-	// per dimension (1..10); see dse.ReducedSpace.
+	// Per subsamples the model family's declared grids to this many
+	// values per dimension (1..10); see dse.SpaceFor.
 	Per int `json:"per,omitempty"`
 	// Params is an explicit grid; mutually exclusive with Per.
 	Params []ParamSpec `json:"params,omitempty"`
@@ -201,29 +201,6 @@ func checkSchema(spec ModelSpec) error {
 	return nil
 }
 
-// Resolve builds the C²-Bound model a spec describes, validating every
-// override against its documented domain and the assembled profile
-// against App.Validate. It serves the c2bound-only call sites (the KKT
-// optimizer, the simulator evaluator); family-generic paths go through
-// ResolveModel.
-func (c *Catalog) Resolve(spec ModelSpec) (core.Model, error) {
-	if err := checkSchema(spec); err != nil {
-		return core.Model{}, err
-	}
-	if spec.Family != "" && spec.Family != model.FamilyC2Bound {
-		return core.Model{}, validationf("server: family %q has no analytic C²-Bound form; this endpoint needs family %q", spec.Family, model.FamilyC2Bound)
-	}
-	app, cfg, err := c.resolveAppChip(spec)
-	if err != nil {
-		return core.Model{}, err
-	}
-	m := core.Model{Chip: cfg, App: app}
-	if err := m.App.Validate(); err != nil {
-		return core.Model{}, err
-	}
-	return m, nil
-}
-
 // FamilyName returns the effective family of a spec: the "family" field
 // when present, c2bound otherwise (catalog/1 compatibility).
 func FamilyName(spec ModelSpec) string {
@@ -234,11 +211,11 @@ func FamilyName(spec ModelSpec) string {
 }
 
 // ResolveModel builds the model-family instance a spec describes:
-// application and chip overrides resolve exactly as Resolve, then the
-// named family is constructed through the model registry, which
-// validates the family parameters against their documented domains.
+// every application and chip override is validated against its
+// documented domain, then the named family is constructed through the
+// model registry, which validates the family parameters against theirs.
 // Absent family fields default to c2bound, so a catalog/1 spec resolves
-// to the same model (and the same engine fingerprint) as before.
+// to the paper's objective.
 func (c *Catalog) ResolveModel(spec ModelSpec) (model.Model, error) {
 	if err := checkSchema(spec); err != nil {
 		return nil, err
@@ -257,17 +234,19 @@ func (c *Catalog) ResolveModel(spec ModelSpec) (model.Model, error) {
 // Families lists the registered model families, sorted.
 func (c *Catalog) Families() []string { return model.Names() }
 
-// Space builds the design space a spec describes for the given model.
-func (c *Catalog) Space(m core.Model, spec SpaceSpec) (dse.Space, error) {
+// maxPer is the longest default grid of any built-in family. SpaceFor
+// would silently clamp a larger Per to the full grid, so the catalog
+// rejects it at the edge instead.
+const maxPer = 10
+
+// Space builds the design space a spec describes for the model, under
+// one rule for every family: Per subsamples the family's declared grids
+// to 1..maxPer values per dimension, Params is an explicit grid, and
+// exactly one of the two is required.
+func (c *Catalog) Space(m model.Model, spec SpaceSpec) (dse.Space, error) {
 	switch {
-	case spec.Per > 0 && len(spec.Params) > 0:
+	case spec.Per != 0 && len(spec.Params) > 0:
 		return dse.Space{}, validationf("server: space spec carries both per and params; pick one")
-	case spec.Per > 0:
-		s, err := dse.ReducedSpace(m.Chip, spec.Per)
-		if err != nil {
-			return dse.Space{}, validationf("server: %v", err)
-		}
-		return s, nil
 	case len(spec.Params) > 0:
 		params := make([]dse.Param, len(spec.Params))
 		for i, p := range spec.Params {
@@ -278,17 +257,32 @@ func (c *Catalog) Space(m core.Model, spec SpaceSpec) (dse.Space, error) {
 			return dse.Space{}, validationf("server: %v", err)
 		}
 		return s, nil
-	default:
+	case spec.Per == 0:
 		return dse.Space{}, validationf("server: space spec needs per or params")
+	case spec.Per < 1 || spec.Per > maxPer:
+		return dse.Space{}, validationf("server: space per=%d outside 1..%d", spec.Per, maxPer)
+	default:
+		s, err := dse.SpaceFor(m, spec.Per)
+		if err != nil {
+			return dse.Space{}, validationf("server: %v", err)
+		}
+		return s, nil
 	}
 }
 
-// Evaluator builds the scoring evaluator a spec describes for the model.
-func (c *Catalog) Evaluator(m core.Model, spec EvaluatorSpec) (dse.CtxEvaluator, error) {
+// Evaluator builds the scoring evaluator a spec describes for the
+// model: the family objective (kind "model", the default) or, for the
+// c2bound family only, the simulator (kind "sim": its points are chip
+// designs; other families' points are not).
+func (c *Catalog) Evaluator(m model.Model, spec EvaluatorSpec) (dse.CtxEvaluator, error) {
 	switch spec.Kind {
 	case "", "model":
-		return &dse.ModelEvaluator{Model: m}, nil
+		return dse.NewFamilyEvaluator(m), nil
 	case "sim":
+		cb, ok := m.(*model.C2Bound)
+		if !ok {
+			return nil, validationf("server: evaluator kind \"sim\" needs the %s family (simulator points are chip designs)", model.FamilyC2Bound)
+		}
 		workload := spec.Workload
 		if workload == "" {
 			workload = "fluidanimate"
@@ -309,7 +303,7 @@ func (c *Catalog) Evaluator(m core.Model, spec EvaluatorSpec) (dse.CtxEvaluator,
 		if seed == 0 {
 			seed = 17
 		}
-		ev, err := dse.NewSimEvaluator(m.Chip, workload, ws, gap, refs, seed)
+		ev, err := dse.NewSimEvaluator(cb.CoreModel().Chip, workload, ws, gap, refs, seed)
 		if err != nil {
 			return nil, validationf("server: %v", err)
 		}
@@ -319,49 +313,13 @@ func (c *Catalog) Evaluator(m core.Model, spec EvaluatorSpec) (dse.CtxEvaluator,
 	}
 }
 
-// SpaceFamily builds the design space a spec describes for a
-// family-generic model: Per subsamples the family's declared grids,
-// Params is an explicit grid, and an empty spec takes the family's full
-// default grids. For the c2bound family Per produces exactly
-// dse.ReducedSpace, so catalog/1 requests sweep identical designs.
-func (c *Catalog) SpaceFamily(m model.Model, spec SpaceSpec) (dse.Space, error) {
-	switch {
-	case spec.Per > 0 && len(spec.Params) > 0:
-		return dse.Space{}, validationf("server: space spec carries both per and params; pick one")
-	case len(spec.Params) > 0:
-		params := make([]dse.Param, len(spec.Params))
-		for i, p := range spec.Params {
-			params[i] = dse.Param{Name: p.Name, Values: p.Values}
-		}
-		s, err := dse.NewSpace(params...)
-		if err != nil {
-			return dse.Space{}, validationf("server: %v", err)
-		}
-		return s, nil
-	default:
-		s, err := dse.SpaceFor(m, spec.Per)
-		if err != nil {
-			return dse.Space{}, validationf("server: %v", err)
-		}
-		return s, nil
+// analyticModel returns the core.Model behind a resolved c2bound model,
+// for the KKT optimizer of the APS flow — the one consumer that needs
+// the analytic machinery only the paper's family carries.
+func analyticModel(spec ModelSpec, m model.Model) (core.Model, error) {
+	cb, ok := m.(*model.C2Bound)
+	if !ok {
+		return core.Model{}, validationf("server: family %q has no analytic C²-Bound form; this endpoint needs family %q", FamilyName(spec), model.FamilyC2Bound)
 	}
-}
-
-// EvaluatorFamily builds the scoring evaluator for a family-generic
-// model. The c2bound family keeps returning the original
-// dse.ModelEvaluator — same fingerprint, so old and new clients share
-// memo entries — and is the only family the simulator can score (its
-// points are chip designs; other families' points are not).
-func (c *Catalog) EvaluatorFamily(m model.Model, spec EvaluatorSpec) (dse.CtxEvaluator, error) {
-	if cb, ok := m.(*model.C2Bound); ok {
-		return c.Evaluator(cb.CoreModel(), spec)
-	}
-	switch spec.Kind {
-	case "", "model":
-		return dse.NewFamilyEvaluator(m), nil
-	case "sim":
-		return nil, validationf("server: evaluator kind \"sim\" needs the %s family (simulator points are chip designs)", model.FamilyC2Bound)
-	default:
-		return nil, validationf("server: unknown evaluator kind %q (want model or sim)", spec.Kind)
-	}
+	return cb.CoreModel(), nil
 }

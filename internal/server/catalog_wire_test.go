@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"math"
 	"net/http"
@@ -54,13 +55,13 @@ func TestModelSpecWireCompatibility(t *testing.T) {
 		t.Fatalf("catalog/1 fingerprint %q != catalog/2 fingerprint %q", m1.Fingerprint(), m2.Fingerprint())
 	}
 
-	// 3. The evaluator fingerprints agree too — and match the original
-	// pre-family evaluator, so old clients keep their warm cache.
-	ev1, err := c.EvaluatorFamily(m1, EvaluatorSpec{})
+	// 3. The evaluator fingerprints agree too, so the two wire versions
+	// share one warm cache.
+	ev1, err := c.Evaluator(m1, EvaluatorSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev2, err := c.EvaluatorFamily(m2, EvaluatorSpec{})
+	ev2, err := c.Evaluator(m2, EvaluatorSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,17 +69,6 @@ func TestModelSpecWireCompatibility(t *testing.T) {
 	fp2 := ev2.(engine.Fingerprinter).Fingerprint()
 	if fp1 != fp2 {
 		t.Fatalf("evaluator fingerprints diverge: %q vs %q", fp1, fp2)
-	}
-	cm, err := c.Resolve(v1Spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacyEv, err := c.Evaluator(cm, EvaluatorSpec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lfp := legacyEv.(engine.Fingerprinter).Fingerprint(); lfp != fp1 {
-		t.Fatalf("family evaluator fingerprint %q != legacy evaluator fingerprint %q", fp1, lfp)
 	}
 
 	// 4. Round-trip stability: unmarshal→marshal is a fixed point for
@@ -114,8 +104,13 @@ func TestModelSpecSchemaValidation(t *testing.T) {
 	if _, err := c.ResolveModel(ModelSpec{App: "tmm", Family: "gpu", Params: map[string]float64{"m_fma": 1.5}}); err == nil {
 		t.Fatal("out-of-domain family parameter accepted")
 	}
-	if _, err := c.Resolve(ModelSpec{App: "tmm", Family: "gpu"}); err == nil {
-		t.Fatal("Resolve accepted a non-c2bound family")
+	gpuSpec := ModelSpec{App: "tmm", Family: "gpu"}
+	gpu, err := c.ResolveModel(gpuSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := analyticModel(gpuSpec, gpu); err == nil {
+		t.Fatal("analyticModel accepted a non-c2bound family")
 	}
 }
 
@@ -293,5 +288,74 @@ func TestAPSFamilyEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		body, _ := io.ReadAll(resp.Body)
 		t.Fatalf("sim evaluator for commsync: status = %d, want 400 (body %s)", resp.StatusCode, body)
+	}
+}
+
+// TestSpaceSpecRule pins the one space rule every family shares at the
+// catalog edge: per or params is required but not both, and per must lie
+// in 1..maxPer, so no request is silently clamped or widened to a full
+// grid.
+func TestSpaceSpecRule(t *testing.T) {
+	c := DefaultCatalog()
+	explicit := []ParamSpec{{Name: "x", Values: []float64{1, 2}}}
+	for _, family := range []string{model.FamilyC2Bound, model.FamilyGPU} {
+		m, err := c.ResolveModel(ModelSpec{Schema: CatalogSchema, App: "fft", Family: family})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dims := len(m.Space().Params)
+		for _, tc := range []struct {
+			name  string
+			space SpaceSpec
+			size  int // 0: rejected
+		}{
+			{"per=-1", SpaceSpec{Per: -1}, 0},
+			{"per=0", SpaceSpec{Per: 0}, 0},
+			{"per=11", SpaceSpec{Per: 11}, 0},
+			{"empty", SpaceSpec{}, 0},
+			{"per and params", SpaceSpec{Per: 2, Params: explicit}, 0},
+			{"per=1", SpaceSpec{Per: 1}, 1},
+			{"per=2", SpaceSpec{Per: 2}, 1 << dims},
+			{"params", SpaceSpec{Params: explicit}, 2},
+		} {
+			s, err := c.Space(m, tc.space)
+			switch {
+			case tc.size == 0 && !errors.As(err, new(*validationError)):
+				t.Errorf("%s/%s: got %v (%d points), want a validation error", family, tc.name, err, s.Size())
+			case tc.size != 0 && err != nil:
+				t.Errorf("%s/%s: %v", family, tc.name, err)
+			case tc.size != 0 && s.Size() != tc.size:
+				t.Errorf("%s/%s: %d points, want %d", family, tc.name, s.Size(), tc.size)
+			}
+		}
+	}
+
+	// maxPer is the longest default grid of any built-in family, so
+	// per=maxPer is each family's full grid and nothing is clamped away.
+	longest := 0
+	for _, family := range model.Names() {
+		m, err := c.ResolveModel(ModelSpec{Schema: CatalogSchema, App: "fft", Family: family})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range m.Space().Params {
+			longest = max(longest, len(p.Grid))
+		}
+		if _, err := c.Space(m, SpaceSpec{Per: maxPer}); err != nil {
+			t.Errorf("%s: per=%d rejected: %v", family, maxPer, err)
+		}
+	}
+	if longest != maxPer {
+		t.Fatalf("longest family grid has %d values, maxPer = %d", longest, maxPer)
+	}
+
+	// Over HTTP, a family sweep with an empty space is a 400 now.
+	_, ts := newTestServer(t, Options{})
+	resp := postJSON(t, ts.Client(), ts.URL+"/v1/sweep", SweepRequest{
+		Model: ModelSpec{Schema: CatalogSchema, App: "fft", Family: model.FamilyGPU},
+	})
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("empty family space: status = %d, want 400", resp.StatusCode)
 	}
 }

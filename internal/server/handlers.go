@@ -143,15 +143,14 @@ func wrapEvaluator(ev dse.CtxEvaluator) dse.CtxEvaluator {
 // resolveWork builds the (model, evaluator) pair shared by the point
 // and batch endpoints, returning the resolved model too so callers can
 // validate point dimensionality against its declared space. Every
-// family goes through the registry; the c2bound family resolves to the
-// original dse.ModelEvaluator with an unchanged fingerprint, so
-// catalog/1 clients keep sharing memo entries.
+// family, c2bound included, goes through the registry, so catalog/1 and
+// catalog/2 clients of one model share memo entries.
 func (s *Server) resolveWork(m ModelSpec, e EvaluatorSpec) (model.Model, dse.CtxEvaluator, error) {
 	fm, err := s.catalog.ResolveModel(m)
 	if err != nil {
 		return nil, nil, err
 	}
-	ev, err := s.catalog.EvaluatorFamily(fm, e)
+	ev, err := s.catalog.Evaluator(fm, e)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -435,19 +434,12 @@ func (s *Server) serveSweep(w http.ResponseWriter, r *http.Request, partition bo
 		s.fail(w, err)
 		return
 	}
-	var space dse.Space
-	if cb, ok := fm.(*model.C2Bound); ok {
-		// The paper's family keeps the catalog/1 space semantics exactly
-		// (per/params required, dse.ReducedSpace grids).
-		space, err = s.catalog.Space(cb.CoreModel(), req.Space)
-	} else {
-		space, err = s.catalog.SpaceFamily(fm, req.Space)
-	}
+	space, err := s.catalog.Space(fm, req.Space)
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
-	ev, err := s.catalog.EvaluatorFamily(fm, req.Evaluator)
+	ev, err := s.catalog.Evaluator(fm, req.Evaluator)
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -607,18 +599,18 @@ func (s *Server) handleAPS(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
+	// Only the paper's family has the analytic KKT phase.
 	cb, isC2 := fm.(*model.C2Bound)
 	if !isC2 {
 		s.handleAPSFamily(w, r, fm, req)
 		return
 	}
-	coreModel := cb.CoreModel()
-	space, err := s.catalog.Space(coreModel, req.Space)
+	space, err := s.catalog.Space(fm, req.Space)
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
-	ev, err := s.catalog.Evaluator(coreModel, req.Evaluator)
+	ev, err := s.catalog.Evaluator(fm, req.Evaluator)
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -645,7 +637,7 @@ func (s *Server) handleAPS(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer unlock()
-	res, err := aps.RunCtx(r.Context(), coreModel, space, ev, aps.Options{
+	res, err := aps.RunCtx(r.Context(), cb.CoreModel(), space, ev, aps.Options{
 		Engine: s.eng,
 		Radius: req.Radius,
 		Metric: metric,

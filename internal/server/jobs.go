@@ -168,15 +168,15 @@ func (s *Server) validateSubmit(sub *JobSubmitRequest) (string, error) {
 		if req.Checkpoint != "" || req.Resume {
 			return "", validationf("server: jobs manage their own checkpoints; drop checkpoint/resume")
 		}
-		model, err := s.catalog.Resolve(req.Model)
+		fm, err := s.catalog.ResolveModel(req.Model)
 		if err != nil {
 			return "", err
 		}
-		space, err := s.catalog.Space(model, req.Space)
+		space, err := s.catalog.Space(fm, req.Space)
 		if err != nil {
 			return "", err
 		}
-		if _, err := s.catalog.Evaluator(model, req.Evaluator); err != nil {
+		if _, err := s.catalog.Evaluator(fm, req.Evaluator); err != nil {
 			return "", err
 		}
 		for _, idx := range req.Indices {
@@ -190,14 +190,17 @@ func (s *Server) validateSubmit(sub *JobSubmitRequest) (string, error) {
 	if req.Checkpoint != "" || req.Resume {
 		return "", validationf("server: jobs manage their own checkpoints; drop checkpoint/resume")
 	}
-	model, err := s.catalog.Resolve(req.Model)
+	fm, err := s.catalog.ResolveModel(req.Model)
 	if err != nil {
 		return "", err
 	}
-	if _, err := s.catalog.Space(model, req.Space); err != nil {
+	if _, err := analyticModel(req.Model, fm); err != nil {
 		return "", err
 	}
-	if _, err := s.catalog.Evaluator(model, req.Evaluator); err != nil {
+	if _, err := s.catalog.Space(fm, req.Space); err != nil {
+		return "", err
+	}
+	if _, err := s.catalog.Evaluator(fm, req.Evaluator); err != nil {
 		return "", err
 	}
 	switch req.Metric {
@@ -515,15 +518,15 @@ func (m *jobManager) runSweep(ctx context.Context, e *jobEntry) (json.RawMessage
 		return nil, nil, validationf("server: job %s carries an unreadable request", e.job.ID)
 	}
 	req := sub.Sweep
-	model, err := m.s.catalog.Resolve(req.Model)
+	fm, err := m.s.catalog.ResolveModel(req.Model)
 	if err != nil {
 		return nil, nil, err
 	}
-	space, err := m.s.catalog.Space(model, req.Space)
+	space, err := m.s.catalog.Space(fm, req.Space)
 	if err != nil {
 		return nil, nil, err
 	}
-	ev, err := m.s.catalog.Evaluator(model, req.Evaluator)
+	ev, err := m.s.catalog.Evaluator(fm, req.Evaluator)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -575,15 +578,19 @@ func (m *jobManager) runAPS(ctx context.Context, e *jobEntry) (json.RawMessage, 
 		return nil, nil, validationf("server: job %s carries an unreadable request", e.job.ID)
 	}
 	req := sub.APS
-	model, err := m.s.catalog.Resolve(req.Model)
+	fm, err := m.s.catalog.ResolveModel(req.Model)
 	if err != nil {
 		return nil, nil, err
 	}
-	space, err := m.s.catalog.Space(model, req.Space)
+	analytic, err := analyticModel(req.Model, fm)
 	if err != nil {
 		return nil, nil, err
 	}
-	ev, err := m.s.catalog.Evaluator(model, req.Evaluator)
+	space, err := m.s.catalog.Space(fm, req.Space)
+	if err != nil {
+		return nil, nil, err
+	}
+	ev, err := m.s.catalog.Evaluator(fm, req.Evaluator)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -598,7 +605,7 @@ func (m *jobManager) runAPS(ctx context.Context, e *jobEntry) (json.RawMessage, 
 		return nil, nil, err
 	}
 	defer unlock()
-	res, err := aps.RunCtx(ctx, model, space, withCount(ev, &e.evaluated), aps.Options{
+	res, err := aps.RunCtx(ctx, analytic, space, withCount(ev, &e.evaluated), aps.Options{
 		Engine: m.s.eng,
 		Radius: req.Radius,
 		Metric: metric,

@@ -16,7 +16,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/chip"
 	"repro/internal/dse"
 	"repro/internal/engine"
 )
@@ -63,7 +62,12 @@ func decodeBody(t *testing.T, resp *http.Response, v interface{}) {
 // testPoints returns k distinct valid points of the reduced paper space.
 func testPoints(t *testing.T, k int) [][]float64 {
 	t.Helper()
-	space, err := dse.ReducedSpace(chip.DefaultConfig(), 3)
+	c := DefaultCatalog()
+	m, err := c.ResolveModel(ModelSpec{App: "tmm"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	space, err := c.Space(m, SpaceSpec{Per: 3})
 	if err != nil {
 		t.Fatalf("space: %v", err)
 	}
