@@ -121,6 +121,8 @@ fuzz-short:
 	$(GO) test -run XXX -fuzz FuzzAnalyze -fuzztime 10s ./internal/camat
 	$(GO) test -run XXX -fuzz FuzzSerializeIdempotent -fuzztime 10s ./internal/camat
 	$(GO) test -run XXX -fuzz FuzzDetectorMatchesBatch -fuzztime 10s ./internal/detector
+	$(GO) test -run XXX -fuzz FuzzBatchPointsDecode -fuzztime 10s ./internal/server
+	$(GO) test -run XXX -fuzz FuzzBatchLineEncode -fuzztime 10s ./internal/server
 
 clean:
 	$(GO) clean ./...

@@ -52,7 +52,43 @@ type PeerEvalSummary struct {
 
 // FormatBits renders a value for the peer wire.
 func FormatBits(v float64) string {
-	return fmt.Sprintf("%016x", math.Float64bits(v))
+	var b [16]byte
+	return string(appendBits(b[:0], v))
+}
+
+// appendBits appends FormatBits(v) to b: the bit pattern as 16
+// zero-padded lowercase hex digits.
+func appendBits(b []byte, v float64) []byte {
+	var digits [16]byte
+	hex := strconv.AppendUint(digits[:0], math.Float64bits(v), 16)
+	for k := len(hex); k < len(digits); k++ {
+		b = append(b, '0')
+	}
+	return append(b, hex...)
+}
+
+// AppendPeerEvalResult appends the response line for one evaluated
+// point: the bytes json.Encoder writes for the PeerEvalResult with this
+// index, cache flag and either err's message or v's bits, without
+// building the struct.
+func AppendPeerEvalResult(b []byte, index int, v float64, cacheHit bool, err error) []byte {
+	b = append(b, `{"index":`...)
+	b = strconv.AppendInt(b, int64(index), 10)
+	if err == nil {
+		b = append(b, `,"bits":"`...)
+		b = appendBits(b, v)
+		b = append(b, '"')
+	}
+	if cacheHit {
+		b = append(b, `,"cache_hit":true`...)
+	}
+	if err != nil {
+		// A string always encodes; json.Marshal escapes HTML exactly as
+		// json.Encoder does.
+		msg, _ := json.Marshal(err.Error())
+		b = append(append(b, `,"error":`...), msg...)
+	}
+	return append(b, "}\n"...)
 }
 
 // ParseBits decodes a peer wire value.

@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
-	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 )
@@ -154,31 +152,5 @@ func TestJSONFloatRoundTrip(t *testing.T) {
 	}
 	if !math.IsNaN(float64(back)) {
 		t.Fatalf("NaN round trip lost NaN-ness: %v", back)
-	}
-}
-
-func TestOrderedEmitterResequences(t *testing.T) {
-	rec := httptest.NewRecorder()
-	out := newNDJSONWriter(rec)
-	o := newOrderedEmitter(out)
-
-	type frame struct {
-		I int `json:"i"`
-	}
-	for _, i := range []int{2, 0, 3, 1, 4} {
-		o.Add(i, frame{I: i})
-	}
-	lines := strings.Fields(strings.TrimSpace(rec.Body.String()))
-	if len(lines) != 5 {
-		t.Fatalf("emitted %d lines, want 5", len(lines))
-	}
-	for i, line := range lines {
-		var f frame
-		if err := json.Unmarshal([]byte(line), &f); err != nil {
-			t.Fatalf("line %d: %v", i, err)
-		}
-		if f.I != i {
-			t.Fatalf("line %d carries index %d; submission order violated", i, f.I)
-		}
 	}
 }

@@ -224,7 +224,7 @@ func (s *Server) streamRouted(ctx context.Context, ev dse.CtxEvaluator, ms Model
 // stream back as NDJSON in completion order, values as IEEE-754 bit
 // patterns (the coordinator re-sequences by index).
 func (s *Server) handlePeerEval(w http.ResponseWriter, r *http.Request) {
-	var req cluster.PeerEvalRequest
+	var req peerEvalWire
 	if err := decodeJSON(r, &req); err != nil {
 		s.fail(w, err)
 		return
@@ -254,23 +254,23 @@ func (s *Server) handlePeerEval(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
+	dims := len(fm.Space().Params)
 	for i, p := range req.Points {
-		if err := checkPointDims(fm, p); err != nil {
-			s.fail(w, validationf("server: peer-eval point %d: %v", i, err))
+		if len(p) != dims {
+			s.fail(w, validationf("server: peer-eval point %d: %v", i, checkPointDims(fm, p)))
 			return
 		}
 	}
 	out := newNDJSONWriter(w)
+	defer out.Close()
+	var line []byte
 	failures := 0
 	_ = s.eng.EvaluateStream(r.Context(), ev, req.Points, func(i int, o engine.Outcome) {
-		line := cluster.PeerEvalResult{Index: i, CacheHit: o.CacheHit || o.Shared}
 		if o.Err != nil {
 			failures++
-			line.Error = o.Err.Error()
-		} else {
-			line.Bits = cluster.FormatBits(o.Value)
 		}
-		out.Emit(line)
+		line = cluster.AppendPeerEvalResult(line[:0], i, o.Value, o.CacheHit || o.Shared, o.Err)
+		out.Write(line)
 	})
 	out.Emit(cluster.PeerEvalSummary{Done: true, Points: len(req.Points), Errors: failures})
 }

@@ -174,7 +174,7 @@ func checkPointDims(fm model.Model, p []float64) error {
 
 // handleEvaluate scores one point through the shared engine.
 func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
-	var req EvaluateRequest
+	var req evaluateWire
 	if err := decodeJSON(r, &req); err != nil {
 		s.fail(w, err)
 		return
@@ -256,7 +256,7 @@ type BatchSummary struct {
 // order. Per-point failures are lines with an error field, not request
 // failures; the stream always ends with a summary line.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req BatchRequest
+	var req batchWire
 	if err := decodeJSON(r, &req); err != nil {
 		s.fail(w, err)
 		return
@@ -274,8 +274,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
+	dims := len(fm.Space().Params)
 	for i, p := range req.Points {
-		if err := checkPointDims(fm, p); err != nil {
+		if len(p) != dims {
+			err := checkPointDims(fm, p)
 			s.fail(w, validationf("server: point %d: %s", i, strings.TrimPrefix(err.Error(), "server: ")))
 			return
 		}
@@ -284,22 +286,17 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	stats0 := s.eng.Stats()
 	out := newNDJSONWriter(w)
-	ordered := newOrderedEmitter(out)
+	defer out.Close()
+	lines := newBatchLines(out, len(req.Points))
 	hits, failures := 0, 0
 	streamErr := s.streamRouted(r.Context(), ev, req.Model, req.Evaluator, req.Points, func(i int, o engine.Outcome) {
-		line := BatchResult{Index: i, CacheHit: o.CacheHit, Shared: o.Shared, Attempts: o.Attempts}
 		if o.Err != nil {
 			failures++
-			_, body := classify(o.Err)
-			line.Error = &body
-		} else {
-			v := jsonFloat(o.Value)
-			line.Value = &v
 		}
 		if o.CacheHit || o.Shared {
 			hits++
 		}
-		ordered.Add(i, line)
+		lines.add(i, o)
 	})
 	out.Emit(BatchSummary{
 		Done:      true,
@@ -487,6 +484,7 @@ func (s *Server) serveSweep(w http.ResponseWriter, r *http.Request, partition bo
 	start := time.Now()
 	stats0 := s.eng.Stats()
 	out := newNDJSONWriter(w)
+	defer out.Close()
 
 	type sweepDone struct {
 		values []float64
