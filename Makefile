@@ -123,6 +123,7 @@ fuzz-short:
 	$(GO) test -run XXX -fuzz FuzzDetectorMatchesBatch -fuzztime 10s ./internal/detector
 	$(GO) test -run XXX -fuzz FuzzBatchPointsDecode -fuzztime 10s ./internal/server
 	$(GO) test -run XXX -fuzz FuzzBatchLineEncode -fuzztime 10s ./internal/server
+	$(GO) test -run XXX -fuzz FuzzResolveRequests -fuzztime 10s ./internal/server
 
 clean:
 	$(GO) clean ./...

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	c2bound "repro"
+	"repro/internal/dse"
 )
 
 func TestFacadeCAMAT(t *testing.T) {
@@ -339,5 +340,42 @@ func TestFacadePartitionAndMixed(t *testing.T) {
 	}
 	if len(parts) != 2 || parts[0].CapacityKB <= 0 {
 		t.Fatalf("partition result %+v", parts)
+	}
+}
+
+// TestFacadeOptimizeFamily checks OptimizeFamily against the public
+// ground truth for every built-in family: its best index and value equal
+// dse.Best over Sweep of FamilyDesignSpace bit for bit, and its space
+// size is the product of the grid lengths.
+func TestFacadeOptimizeFamily(t *testing.T) {
+	const per = 3
+	for _, family := range []string{c2bound.FamilyC2Bound, c2bound.FamilyGPU, c2bound.FamilyCommSync, c2bound.FamilySqrtM} {
+		m, err := c2bound.BuildModel(c2bound.TMMApp(), c2bound.WithFamily(family))
+		if err != nil {
+			t.Fatalf("%s: BuildModel: %v", family, err)
+		}
+		space, err := c2bound.FamilyDesignSpace(m, per)
+		if err != nil {
+			t.Fatalf("%s: FamilyDesignSpace: %v", family, err)
+		}
+		values, _, err := c2bound.Sweep(context.Background(), c2bound.NewFamilyEvaluator(m), space)
+		if err != nil {
+			t.Fatalf("%s: Sweep: %v", family, err)
+		}
+		wantIdx, wantVal := dse.Best(values)
+		got, err := c2bound.OptimizeFamily(context.Background(), m, per)
+		if err != nil {
+			t.Fatalf("%s: OptimizeFamily: %v", family, err)
+		}
+		if got.BestIdx != wantIdx || math.Float64bits(got.BestValue) != math.Float64bits(wantVal) {
+			t.Fatalf("%s: OptimizeFamily best %d = %v, Sweep best %d = %v", family, got.BestIdx, got.BestValue, wantIdx, wantVal)
+		}
+		size := 1
+		for _, p := range space.Params {
+			size *= len(p.Values)
+		}
+		if got.SpaceSize != size {
+			t.Fatalf("%s: SpaceSize %d, want %d", family, got.SpaceSize, size)
+		}
 	}
 }

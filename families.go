@@ -135,17 +135,14 @@ func FamilyDesignSpace(m FamilyModel, per int) (DesignSpace, error) {
 // WithRetry, WithTimeout, WithCheckpoint/WithResume and the
 // observability options.
 func OptimizeFamily(ctx context.Context, m FamilyModel, per int, opts ...Option) (FamilyOptimum, error) {
+	space, err := dse.SpaceFor(m, per)
+	if err != nil {
+		return FamilyOptimum{}, err
+	}
 	c := newRunConfig(opts)
-	return aps.RunModelCtx(c.context(ctx), m, aps.ModelOptions{
+	return aps.RunModelCtx(c.context(ctx), space, dse.NewFamilyEvaluator(m), aps.ModelOptions{
 		Engine:  c.engineFor(),
-		Per:     per,
 		Workers: c.workers,
-		Sweep: dse.SweepOptions{
-			Retry:           c.retry,
-			Timeout:         c.timeout,
-			CheckpointPath:  c.checkpoint,
-			CheckpointEvery: c.every,
-			Resume:          c.resume,
-		},
+		Sweep:   c.sweepOptions(),
 	})
 }

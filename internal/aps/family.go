@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/dse"
 	"repro/internal/engine"
-	"repro/internal/model"
 	"repro/internal/obs"
 )
 
@@ -14,11 +13,8 @@ import (
 type ModelOptions struct {
 	// Engine is the shared evaluation service; nil builds a private one.
 	// Runs against a shared engine reuse every memoized point keyed by
-	// the family-qualified fingerprint.
+	// the evaluator's family-qualified fingerprint.
 	Engine *engine.Engine
-	// Per subsamples the family's default grids to at most this many
-	// values per dimension (≤ 0: full grids).
-	Per int
 	// Workers bounds sweep parallelism (≤0: GOMAXPROCS). Ignored when
 	// Engine is set.
 	Workers int
@@ -39,26 +35,16 @@ type ModelResult struct {
 	Engine engine.Stats
 }
 
-// RunModel optimizes any registered model family over its declared
-// design space. It is the family-generic sibling of Run: the C²-Bound
-// family keeps the full APS flow (analytic KKT solve plus simulated
-// slice) because only it carries the analytic machinery; every family
-// gets the engine-batched exhaustive grid scan this entry point runs.
-func RunModel(m model.Model, opts ModelOptions) (ModelResult, error) {
-	//lint:allow ctxflow deliberate non-ctx convenience wrapper over RunModelCtx
-	return RunModelCtx(context.Background(), m, opts)
-}
-
-// RunModelCtx is RunModel with cancellation and resilience. The whole
-// grid rides the engine's batched path through the family's compiled
-// kernel; a repeated run on a shared engine re-reads the scan from
-// cache.
-func RunModelCtx(ctx context.Context, m model.Model, opts ModelOptions) (ModelResult, error) {
-	space, err := dse.SpaceFor(m, opts.Per)
-	if err != nil {
-		return ModelResult{}, err
-	}
-
+// RunModelCtx optimizes a model family by an exhaustive scan of space
+// with ev, the family-generic sibling of RunCtx: the C²-Bound family
+// keeps the full APS flow (analytic KKT solve plus simulated slice)
+// because only it carries the analytic machinery, while any family can
+// be scanned here. The caller resolves the space and the evaluator (for
+// example dse.SpaceFor and dse.NewFamilyEvaluator), so its own wrappers
+// — fault hooks, progress counters — see every point. The whole grid
+// rides the engine's batched path when ev has one; a repeated run on a
+// shared engine re-reads the scan from cache.
+func RunModelCtx(ctx context.Context, space dse.Space, ev dse.CtxEvaluator, opts ModelOptions) (ModelResult, error) {
 	tr := obs.TracerFrom(ctx)
 	obs.MetricsFrom(ctx).Counter("aps_model_runs_total").Add(1)
 	ctx, runSp := tr.Start(ctx, "aps.run-model", obs.I("space_size", int64(space.Size())))
@@ -80,7 +66,7 @@ func RunModelCtx(ctx context.Context, m model.Model, opts ModelOptions) (ModelRe
 		sweepOpts.Workers = opts.Workers
 	}
 	sweepOpts.Engine = eng
-	values, report, sweepErr := dse.SweepCtx(ctx, dse.NewFamilyEvaluator(m), space, nil, sweepOpts)
+	values, report, sweepErr := dse.SweepCtx(ctx, ev, space, nil, sweepOpts)
 	bestIdx, bestVal := dse.Best(values)
 	res := ModelResult{
 		Space:     space,
@@ -98,7 +84,7 @@ func RunModelCtx(ctx context.Context, m model.Model, opts ModelOptions) (ModelRe
 			len(report.Completed), report.Total, sweepErr)
 	}
 	if bestIdx < 0 {
-		return res, fmt.Errorf("aps: no feasible configuration for %s", m.Fingerprint())
+		return res, fmt.Errorf("aps: no feasible configuration in the %d-point grid", space.Size())
 	}
 	return res, nil
 }

@@ -6,9 +6,10 @@ import (
 	"hash/fnv"
 	"math"
 	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
+
+	"repro/internal/robust"
 )
 
 // checkpointVersion guards the on-disk format; bump on incompatible
@@ -49,11 +50,11 @@ func (s Space) Signature() string {
 }
 
 // SaveCheckpoint writes the completed entries of a sweep durably and
-// atomically: the temp file is written and fsynced before the rename,
-// and the directory is fsynced after it, so neither a kill mid-write nor
-// a power loss right after the rename can leave a corrupt or vanished
-// checkpoint (rename alone orders nothing on a crash — the metadata can
-// land before the data blocks).
+// atomically (robust.WriteFileAtomic): the temp file is written and
+// fsynced before the rename, and the directory is fsynced after it, so
+// neither a kill mid-write nor a power loss right after the rename can
+// leave a corrupt or vanished checkpoint (rename alone orders nothing on
+// a crash — the metadata can land before the data blocks).
 func SaveCheckpoint(path string, s Space, values []float64, completed []int) error {
 	ck := Checkpoint{Version: checkpointVersion, Signature: s.Signature()}
 	ck.Indices = append([]int(nil), completed...)
@@ -70,65 +71,7 @@ func SaveCheckpoint(path string, s Space, values []float64, completed []int) err
 		return err
 	}
 	data = append(data, '\n')
-	dir := filepath.Dir(path)
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	// The temp name is unique per writer (CreateTemp), not a fixed
-	// path+".tmp": two concurrent savers aiming at the same checkpoint
-	// used to interleave on one temp file and rename each other's partial
-	// bytes into place. Each writer now publishes only a file it wrote
-	// whole; last rename wins and both renamed states are complete.
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	if err := writeSync(tmp, data); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return syncDir(dir)
-}
-
-// writeSync writes data to the open file and fsyncs it before closing,
-// so the bytes are on stable storage before the caller publishes the
-// file.
-func writeSync(f *os.File, data []byte) error {
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Chmod(0o644); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// syncDir fsyncs a directory so a just-renamed entry survives a crash.
-// Platforms that refuse to fsync directories (the error shows up on some
-// filesystems and on Windows) degrade to the pre-sync behavior.
-func syncDir(dir string) error {
-	if dir == "" {
-		dir = "."
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return nil
-	}
-	defer d.Close()
-	_ = d.Sync()
-	return nil
+	return robust.WriteFileAtomic(path, data)
 }
 
 // LoadCheckpoint reads and validates a checkpoint file. The caller is

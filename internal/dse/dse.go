@@ -25,15 +25,21 @@ type Space struct {
 	Params []Param
 }
 
-// NewSpace validates and builds a space.
+// NewSpace validates and builds a space: every parameter is named and
+// has values, and the point count fits in an int.
 func NewSpace(params ...Param) (Space, error) {
 	if len(params) == 0 {
 		return Space{}, fmt.Errorf("dse: empty space")
 	}
+	size := 1
 	for _, p := range params {
 		if p.Name == "" || len(p.Values) == 0 {
 			return Space{}, fmt.Errorf("dse: parameter %q has no values", p.Name)
 		}
+		if size > math.MaxInt/len(p.Values) {
+			return Space{}, fmt.Errorf("dse: space of %d parameters has more points than an int can index", len(params))
+		}
+		size *= len(p.Values)
 	}
 	return Space{Params: params}, nil
 }

@@ -44,6 +44,23 @@ func TestNewSpaceValidation(t *testing.T) {
 	if _, err := NewSpace(Param{Values: []float64{1}}); err == nil {
 		t.Error("nameless parameter accepted")
 	}
+	// 2^62 points fit in an int; 2^63 and 2^64 would wrap Size to a
+	// negative number and to zero.
+	binary := func(dims int) []Param {
+		ps := make([]Param, dims)
+		for i := range ps {
+			ps[i] = Param{Name: "b", Values: []float64{0, 1}}
+		}
+		return ps
+	}
+	if s, err := NewSpace(binary(62)...); err != nil || s.Size() != 1<<62 {
+		t.Errorf("2^62-point space: size %d, err %v", s.Size(), err)
+	}
+	for _, dims := range []int{63, 64} {
+		if _, err := NewSpace(binary(dims)...); err == nil {
+			t.Errorf("2^%d-point space accepted", dims)
+		}
+	}
 }
 
 func TestPaperSpaceIsMillionPoints(t *testing.T) {

@@ -1,11 +1,12 @@
 // Package robust provides the resilience primitives behind the
 // long-running exploration pipeline (the §IV design-space sweep and the
 // APS flow): bounded retry with exponential backoff and jitter, wall-clock
-// budget tracking, a panic-isolating evaluator wrapper, and a seeded
-// fault-injection harness used to test all of the above. The package is
-// generic — it knows nothing about the design space or the simulator —
-// so every layer of the pipeline (dse, aps, sim-backed evaluators) can
-// share one policy vocabulary.
+// budget tracking, a panic-isolating evaluator wrapper, a seeded
+// fault-injection harness used to test all of the above, and the one
+// crash-safe file replace (WriteFileAtomic) behind every checkpoint, job
+// record and cache snapshot. The package is generic — it knows nothing
+// about the design space or the simulator — so every layer of the
+// pipeline (dse, aps, engine, server) can share one policy vocabulary.
 package robust
 
 import (

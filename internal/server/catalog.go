@@ -312,14 +312,3 @@ func (c *Catalog) Evaluator(m model.Model, spec EvaluatorSpec) (dse.CtxEvaluator
 		return nil, validationf("server: unknown evaluator kind %q (want model or sim)", spec.Kind)
 	}
 }
-
-// analyticModel returns the core.Model behind a resolved c2bound model,
-// for the KKT optimizer of the APS flow — the one consumer that needs
-// the analytic machinery only the paper's family carries.
-func analyticModel(spec ModelSpec, m model.Model) (core.Model, error) {
-	cb, ok := m.(*model.C2Bound)
-	if !ok {
-		return core.Model{}, validationf("server: family %q has no analytic C²-Bound form; this endpoint needs family %q", FamilyName(spec), model.FamilyC2Bound)
-	}
-	return cb.CoreModel(), nil
-}

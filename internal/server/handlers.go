@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/aps"
 	"repro/internal/cluster"
 	"repro/internal/dse"
 	"repro/internal/engine"
@@ -123,38 +122,6 @@ type EvaluateResponse struct {
 	CacheHit bool      `json:"cache_hit"`
 	Shared   bool      `json:"shared"`
 	Attempts int       `json:"attempts"`
-}
-
-// testWrapEvaluator, when non-nil, wraps every evaluator the server
-// resolves — singles, batches, sweeps, APS, and job attempts. Tests
-// point it at a fault-injection harness to prove the error envelope
-// stays stable when the engine misbehaves; production code never sets
-// it.
-var testWrapEvaluator func(dse.CtxEvaluator) dse.CtxEvaluator
-
-// wrapEvaluator applies the test fault hook when one is installed.
-func wrapEvaluator(ev dse.CtxEvaluator) dse.CtxEvaluator {
-	if testWrapEvaluator != nil {
-		return testWrapEvaluator(ev)
-	}
-	return ev
-}
-
-// resolveWork builds the (model, evaluator) pair shared by the point
-// and batch endpoints, returning the resolved model too so callers can
-// validate point dimensionality against its declared space. Every
-// family, c2bound included, goes through the registry, so catalog/1 and
-// catalog/2 clients of one model share memo entries.
-func (s *Server) resolveWork(m ModelSpec, e EvaluatorSpec) (model.Model, dse.CtxEvaluator, error) {
-	fm, err := s.catalog.ResolveModel(m)
-	if err != nil {
-		return nil, nil, err
-	}
-	ev, err := s.catalog.Evaluator(fm, e)
-	if err != nil {
-		return nil, nil, err
-	}
-	return fm, wrapEvaluator(ev), nil
 }
 
 // checkPointDims validates a point's dimensionality against the
@@ -426,38 +393,12 @@ func (s *Server) serveSweep(w http.ResponseWriter, r *http.Request, partition bo
 		s.fail(w, err)
 		return
 	}
-	fm, err := s.catalog.ResolveModel(req.Model)
+	work, err := s.sweepWork(r.Context(), &req)
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
-	space, err := s.catalog.Space(fm, req.Space)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	ev, err := s.catalog.Evaluator(fm, req.Evaluator)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	ev = wrapEvaluator(ev)
-	for _, idx := range req.Indices {
-		if idx < 0 || idx >= space.Size() {
-			s.fail(w, validationf("server: index %d outside space of %d points", idx, space.Size()))
-			return
-		}
-	}
-	ckPath, err := s.checkpointPath(r.Context(), req.Checkpoint)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	if req.Resume && ckPath == "" {
-		s.fail(w, validationf("server: resume requires a checkpoint name"))
-		return
-	}
-	unlock, err := s.lockCheckpoint(ckPath)
+	unlock, err := s.lockCheckpoint(work.opts.CheckpointPath)
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -465,18 +406,7 @@ func (s *Server) serveSweep(w http.ResponseWriter, r *http.Request, partition bo
 	defer unlock()
 
 	var evaluated atomic.Int64
-	counted := withCount(ev, &evaluated)
-	opts := dse.SweepOptions{
-		Engine:          s.eng,
-		CheckpointPath:  ckPath,
-		CheckpointEvery: req.CheckpointEvery,
-		Resume:          req.Resume,
-	}
-	total := len(req.Indices)
-	if total == 0 {
-		total = space.Size()
-	}
-
+	counted := withCount(work.ev, &evaluated)
 	cadence := time.Duration(req.ProgressMS) * time.Millisecond
 	if cadence <= 0 {
 		cadence = 500 * time.Millisecond
@@ -498,9 +428,9 @@ func (s *Server) serveSweep(w http.ResponseWriter, r *http.Request, partition bo
 		var report dse.SweepReport
 		var err error
 		if partition && s.cluster != nil {
-			values, report, err = s.clusterSweep(r.Context(), req, space, counted, opts, rp)
+			values, report, err = s.clusterSweep(r.Context(), req, work.space, counted, work.opts, rp)
 		} else {
-			values, report, err = dse.SweepCtx(r.Context(), counted, space, req.Indices, opts)
+			values, report, err = dse.SweepCtx(r.Context(), counted, work.space, req.Indices, work.opts)
 		}
 		doneCh <- sweepDone{values: values, report: report, err: err}
 	}()
@@ -516,26 +446,21 @@ func (s *Server) serveSweep(w http.ResponseWriter, r *http.Request, partition bo
 			out.Emit(SweepProgress{
 				Type:      "progress",
 				Evaluated: evaluated.Load() + rp.total(),
-				Total:     total,
+				Total:     work.total,
 				ElapsedMS: time.Since(start).Milliseconds(),
 			})
 		}
 	}
 
+	best := sweepOutcome(work.space, done.values, req.IncludeValues)
 	frame := SweepResult{
 		Type:      "result",
 		Report:    done.report,
-		BestIndex: -1,
+		BestIndex: best.BestIndex,
+		BestPoint: best.BestPoint,
+		BestValue: best.BestValue,
+		Values:    best.Values,
 		Engine:    s.eng.Stats().Delta(stats0),
-	}
-	if idx, val := dse.Best(done.values); idx >= 0 {
-		frame.BestIndex = idx
-		frame.BestPoint = space.Point(idx)
-		v := jsonFloat(val)
-		frame.BestValue = &v
-	}
-	if req.IncludeValues {
-		frame.Values = jsonFloats(done.values)
 	}
 	if done.err != nil && !errors.Is(done.err, context.Canceled) {
 		_, body := classify(done.err)
@@ -585,151 +510,31 @@ type APSResponse struct {
 	Engine         engine.Stats    `json:"engine"`
 }
 
-// handleAPS executes aps.RunCtx on the shared engine.
+// handleAPS runs the APS flow the resolved family supports (runAPS) on
+// the shared engine.
 func (s *Server) handleAPS(w http.ResponseWriter, r *http.Request) {
 	var req APSRequest
 	if err := decodeJSON(r, &req); err != nil {
 		s.fail(w, err)
 		return
 	}
-	fm, err := s.catalog.ResolveModel(req.Model)
+	work, err := s.apsWork(r.Context(), &req)
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
-	// Only the paper's family has the analytic KKT phase.
-	cb, isC2 := fm.(*model.C2Bound)
-	if !isC2 {
-		s.handleAPSFamily(w, r, fm, req)
-		return
-	}
-	space, err := s.catalog.Space(fm, req.Space)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	ev, err := s.catalog.Evaluator(fm, req.Evaluator)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	ev = wrapEvaluator(ev)
-	var metric aps.Metric
-	switch req.Metric {
-	case "", "time":
-		metric = aps.MetricTime
-	case "time_per_work":
-		metric = aps.MetricTimePerWork
-	default:
-		s.fail(w, validationf("server: unknown metric %q (want time or time_per_work)", req.Metric))
-		return
-	}
-	ckPath, err := s.checkpointPath(r.Context(), req.Checkpoint)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	unlock, err := s.lockCheckpoint(ckPath)
+	unlock, err := s.lockCheckpoint(work.opts.CheckpointPath)
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
 	defer unlock()
-	res, err := aps.RunCtx(r.Context(), cb.CoreModel(), space, ev, aps.Options{
-		Engine: s.eng,
-		Radius: req.Radius,
-		Metric: metric,
-		Sweep: dse.SweepOptions{
-			CheckpointPath: ckPath,
-			Resume:         req.Resume,
-		},
-	})
+	res, err := s.runAPS(r.Context(), work)
 	if err != nil {
 		s.fail(w, fmt.Errorf("aps: %w", err))
 		return
 	}
-	resp := APSResponse{
-		Analytic: APSDesign{
-			N:        res.Analytic.Design.N,
-			CoreArea: jsonFloat(res.Analytic.Design.CoreArea),
-			L1Area:   jsonFloat(res.Analytic.Design.L1Area),
-			L2Area:   jsonFloat(res.Analytic.Design.L2Area),
-			Time:     jsonFloat(res.Analytic.Eval.Time),
-			Method:   res.Analytic.Method,
-			Regime:   int(res.Analytic.Regime),
-		},
-		Snapped:        res.Snapped,
-		BestIndex:      res.BestIdx,
-		Simulations:    res.Simulations,
-		AnalyticPoints: res.AnalyticPoints,
-		SpaceSize:      res.SpaceSize,
-		Report:         res.Report,
-		Engine:         res.Engine,
-	}
-	if res.BestIdx >= 0 {
-		resp.BestPoint = res.BestPoint
-		v := jsonFloat(res.BestValue)
-		resp.BestValue = &v
-	}
-	writeJSON(w, resp)
-}
-
-// handleAPSFamily serves /v1/aps for non-C²-Bound families: no analytic
-// KKT phase exists for them, so the optimum comes from the exhaustive
-// engine-batched grid scan over the family's declared space
-// (aps.RunModelCtx). The response keeps the APSResponse shape with the
-// analytic block marked "grid" and zero simulations.
-func (s *Server) handleAPSFamily(w http.ResponseWriter, r *http.Request, fm model.Model, req APSRequest) {
-	if len(req.Space.Params) > 0 {
-		s.fail(w, validationf("server: family APS sweeps the family's declared space; use per, not an explicit grid"))
-		return
-	}
-	if req.Metric != "" && req.Metric != "time" {
-		s.fail(w, validationf("server: family APS supports only the time metric, got %q", req.Metric))
-		return
-	}
-	if req.Evaluator.Kind != "" && req.Evaluator.Kind != "model" {
-		s.fail(w, validationf("server: family APS needs the model evaluator, got %q", req.Evaluator.Kind))
-		return
-	}
-	ckPath, err := s.checkpointPath(r.Context(), req.Checkpoint)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	unlock, err := s.lockCheckpoint(ckPath)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	defer unlock()
-	res, err := aps.RunModelCtx(r.Context(), fm, aps.ModelOptions{
-		Engine: s.eng,
-		Per:    req.Space.Per,
-		Sweep: dse.SweepOptions{
-			CheckpointPath: ckPath,
-			Resume:         req.Resume,
-		},
-	})
-	if err != nil {
-		s.fail(w, fmt.Errorf("aps: %w", err))
-		return
-	}
-	resp := APSResponse{
-		Analytic:       APSDesign{Method: "grid"},
-		Snapped:        []int{},
-		BestIndex:      res.BestIdx,
-		AnalyticPoints: res.SpaceSize,
-		SpaceSize:      res.SpaceSize,
-		Report:         res.Report,
-		Engine:         res.Engine,
-	}
-	if res.BestIdx >= 0 {
-		resp.BestPoint = res.BestPoint
-		v := jsonFloat(res.BestValue)
-		resp.BestValue = &v
-	}
-	writeJSON(w, resp)
+	writeJSON(w, apsResponse(res))
 }
 
 // --- catalog ---------------------------------------------------------

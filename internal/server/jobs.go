@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/aps"
 	"repro/internal/dse"
 	"repro/internal/obs"
 )
@@ -148,8 +147,10 @@ func (m *jobManager) checkpointPath(id string) string {
 func nowStamp() string { return time.Now().UTC().Format(time.RFC3339Nano) }
 
 // validateSubmit checks a submission far enough that submit-time errors
-// reach the client synchronously instead of surfacing as failed jobs.
-func (s *Server) validateSubmit(sub *JobSubmitRequest) (string, error) {
+// reach the client synchronously instead of surfacing as failed jobs:
+// exactly one kind of work, no client-named checkpoint, and the same
+// resolver the job runner will use.
+func (s *Server) validateSubmit(ctx context.Context, sub *JobSubmitRequest) (string, error) {
 	switch {
 	case sub.Sweep != nil && sub.APS != nil:
 		return "", validationf("server: job names both sweep and aps; want exactly one")
@@ -163,52 +164,17 @@ func (s *Server) validateSubmit(sub *JobSubmitRequest) (string, error) {
 	if sub.Kind != "" && sub.Kind != kind {
 		return "", validationf("server: job kind %q does not match the %s request", sub.Kind, kind)
 	}
-	if kind == "sweep" {
-		req := sub.Sweep
-		if req.Checkpoint != "" || req.Resume {
-			return "", validationf("server: jobs manage their own checkpoints; drop checkpoint/resume")
-		}
-		fm, err := s.catalog.ResolveModel(req.Model)
-		if err != nil {
-			return "", err
-		}
-		space, err := s.catalog.Space(fm, req.Space)
-		if err != nil {
-			return "", err
-		}
-		if _, err := s.catalog.Evaluator(fm, req.Evaluator); err != nil {
-			return "", err
-		}
-		for _, idx := range req.Indices {
-			if idx < 0 || idx >= space.Size() {
-				return "", validationf("server: index %d outside space of %d points", idx, space.Size())
-			}
-		}
-		return kind, nil
-	}
-	req := sub.APS
-	if req.Checkpoint != "" || req.Resume {
+	var err error
+	switch {
+	case sub.Sweep != nil && (sub.Sweep.Checkpoint != "" || sub.Sweep.Resume),
+		sub.APS != nil && (sub.APS.Checkpoint != "" || sub.APS.Resume):
 		return "", validationf("server: jobs manage their own checkpoints; drop checkpoint/resume")
-	}
-	fm, err := s.catalog.ResolveModel(req.Model)
-	if err != nil {
-		return "", err
-	}
-	if _, err := analyticModel(req.Model, fm); err != nil {
-		return "", err
-	}
-	if _, err := s.catalog.Space(fm, req.Space); err != nil {
-		return "", err
-	}
-	if _, err := s.catalog.Evaluator(fm, req.Evaluator); err != nil {
-		return "", err
-	}
-	switch req.Metric {
-	case "", "time", "time_per_work":
+	case sub.Sweep != nil:
+		_, err = s.sweepWork(ctx, sub.Sweep)
 	default:
-		return "", validationf("server: unknown metric %q (want time or time_per_work)", req.Metric)
+		_, err = s.apsWork(ctx, sub.APS)
 	}
-	return kind, nil
+	return kind, err
 }
 
 // handleJobSubmit accepts a job, persists it and starts its runner; the
@@ -232,7 +198,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	kind, err := s.validateSubmit(&sub)
+	kind, err := s.validateSubmit(r.Context(), &sub)
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -510,136 +476,61 @@ func (m *jobManager) failJob(e *jobEntry, err error) {
 	_ = m.store.save(&snap)
 }
 
-// runSweep executes a sweep job attempt, always resuming the job's own
-// checkpoint (absent on the first attempt: a fresh sweep).
+// claimCheckpoint points opts at the job's own checkpoint, always
+// resumed (absent on the first attempt: a fresh run), and locks it.
+func (m *jobManager) claimCheckpoint(e *jobEntry, opts *dse.SweepOptions) (func(), error) {
+	opts.CheckpointPath, opts.Resume = m.checkpointPath(e.job.ID), true
+	return m.s.lockCheckpoint(opts.CheckpointPath)
+}
+
+// runSweep executes a sweep job attempt.
 func (m *jobManager) runSweep(ctx context.Context, e *jobEntry) (json.RawMessage, *dse.SweepReport, error) {
 	var sub JobSubmitRequest
 	if err := json.Unmarshal(e.job.Request, &sub); err != nil || sub.Sweep == nil {
 		return nil, nil, validationf("server: job %s carries an unreadable request", e.job.ID)
 	}
 	req := sub.Sweep
-	fm, err := m.s.catalog.ResolveModel(req.Model)
+	work, err := m.s.sweepWork(ctx, req)
 	if err != nil {
 		return nil, nil, err
-	}
-	space, err := m.s.catalog.Space(fm, req.Space)
-	if err != nil {
-		return nil, nil, err
-	}
-	ev, err := m.s.catalog.Evaluator(fm, req.Evaluator)
-	if err != nil {
-		return nil, nil, err
-	}
-	ev = wrapEvaluator(ev)
-	total := len(req.Indices)
-	if total == 0 {
-		total = space.Size()
 	}
 	e.mu.Lock()
-	e.total = total
+	e.total = work.total
 	e.mu.Unlock()
-
-	ck := m.checkpointPath(e.job.ID)
-	unlock, err := m.s.lockCheckpoint(ck)
+	unlock, err := m.claimCheckpoint(e, &work.opts)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer unlock()
-	values, report, err := dse.SweepCtx(ctx, withCount(ev, &e.evaluated), space, req.Indices, dse.SweepOptions{
-		Engine:          m.s.eng,
-		CheckpointPath:  ck,
-		CheckpointEvery: req.CheckpointEvery,
-		Resume:          true,
-	})
+	values, report, err := dse.SweepCtx(ctx, withCount(work.ev, &e.evaluated), work.space, req.Indices, work.opts)
 	if err != nil {
 		return nil, &report, err
 	}
-	res := SweepJobResult{BestIndex: -1}
-	if idx, val := dse.Best(values); idx >= 0 {
-		res.BestIndex = idx
-		res.BestPoint = space.Point(idx)
-		v := jsonFloat(val)
-		res.BestValue = &v
-	}
-	if req.IncludeValues {
-		res.Values = jsonFloats(values)
-	}
-	data, err := json.Marshal(res)
-	if err != nil {
-		return nil, &report, err
-	}
-	return data, &report, nil
+	data, err := json.Marshal(sweepOutcome(work.space, values, req.IncludeValues))
+	return data, &report, err
 }
 
-// runAPS executes an APS job attempt.
+// runAPS executes an APS job attempt through the same family choice as
+// /v1/aps (runAPS).
 func (m *jobManager) runAPS(ctx context.Context, e *jobEntry) (json.RawMessage, *dse.SweepReport, error) {
 	var sub JobSubmitRequest
 	if err := json.Unmarshal(e.job.Request, &sub); err != nil || sub.APS == nil {
 		return nil, nil, validationf("server: job %s carries an unreadable request", e.job.ID)
 	}
-	req := sub.APS
-	fm, err := m.s.catalog.ResolveModel(req.Model)
+	work, err := m.s.apsWork(ctx, sub.APS)
 	if err != nil {
 		return nil, nil, err
 	}
-	analytic, err := analyticModel(req.Model, fm)
-	if err != nil {
-		return nil, nil, err
-	}
-	space, err := m.s.catalog.Space(fm, req.Space)
-	if err != nil {
-		return nil, nil, err
-	}
-	ev, err := m.s.catalog.Evaluator(fm, req.Evaluator)
-	if err != nil {
-		return nil, nil, err
-	}
-	ev = wrapEvaluator(ev)
-	metric := aps.MetricTime
-	if req.Metric == "time_per_work" {
-		metric = aps.MetricTimePerWork
-	}
-	ck := m.checkpointPath(e.job.ID)
-	unlock, err := m.s.lockCheckpoint(ck)
+	work.ev = withCount(work.ev, &e.evaluated)
+	unlock, err := m.claimCheckpoint(e, &work.opts)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer unlock()
-	res, err := aps.RunCtx(ctx, analytic, space, withCount(ev, &e.evaluated), aps.Options{
-		Engine: m.s.eng,
-		Radius: req.Radius,
-		Metric: metric,
-		Sweep: dse.SweepOptions{
-			CheckpointPath: ck,
-			Resume:         true,
-		},
-	})
+	res, err := m.s.runAPS(ctx, work)
 	if err != nil {
 		return nil, nil, err
 	}
-	out := APSJobResult{
-		Analytic: APSDesign{
-			N:        res.Analytic.Design.N,
-			CoreArea: jsonFloat(res.Analytic.Design.CoreArea),
-			L1Area:   jsonFloat(res.Analytic.Design.L1Area),
-			L2Area:   jsonFloat(res.Analytic.Design.L2Area),
-			Time:     jsonFloat(res.Analytic.Eval.Time),
-			Method:   res.Analytic.Method,
-			Regime:   int(res.Analytic.Regime),
-		},
-		Snapped:        res.Snapped,
-		BestIndex:      res.BestIdx,
-		AnalyticPoints: res.AnalyticPoints,
-		SpaceSize:      res.SpaceSize,
-	}
-	if res.BestIdx >= 0 {
-		out.BestPoint = res.BestPoint
-		v := jsonFloat(res.BestValue)
-		out.BestValue = &v
-	}
-	data, err := json.Marshal(out)
-	if err != nil {
-		return nil, &res.Report, err
-	}
-	return data, &res.Report, nil
+	data, err := json.Marshal(apsResponse(res).jobResult())
+	return data, &res.Report, err
 }

@@ -8,13 +8,26 @@
 //
 // Endpoints (DESIGN.md §10 carries the full table):
 //
-//	POST /v1/evaluate        one design point, JSON in/out
-//	POST /v1/evaluate:batch  many points, NDJSON results in submission order
-//	POST /v1/sweep           server-side dse.SweepCtx, NDJSON progress frames
-//	POST /v1/aps             full aps.RunCtx, JSON result
-//	GET  /healthz            liveness (process up)
-//	GET  /readyz             readiness + engine/server statistics
-//	GET  /metrics            obs.Registry text exposition
+//	POST   /v1/evaluate               one design point, JSON in/out
+//	POST   /v1/evaluate:batch         many points, NDJSON results in submission order
+//	POST   /v1/sweep                  server-side dse.SweepCtx, NDJSON progress frames
+//	POST   /v1/aps                    APS by family (runAPS), JSON result
+//	GET    /v1/catalog                applications and model families with parameter domains
+//	POST   /v1/jobs                   submit a durable sweep or APS job
+//	GET    /v1/jobs                   the tenant's jobs
+//	GET    /v1/jobs/{id}              one job, with live progress
+//	GET    /v1/jobs/{id}/result       a succeeded job's result
+//	POST   /v1/jobs/{id}/cancel       cancel a job
+//	DELETE /v1/jobs/{id}              remove a finished job
+//	POST   /internal/v1/peer-eval     points forwarded by a cluster peer
+//	POST   /internal/v1/peer-sweep    a sub-sweep forwarded by a cluster peer
+//	GET    /healthz                   liveness (process up)
+//	GET    /readyz                    readiness + engine/server statistics
+//	GET    /metrics                   obs.Registry text exposition
+//
+// The /v1/jobs routes exist only with Options.JobDir, the peer routes
+// only in a cluster. Every sweep and APS request, synchronous or a job,
+// resolves through one resolver per kind (work.go).
 //
 // The load path has production semantics: a weighted deficit-round-robin
 // admission gate with bounded per-tenant wait queues sheds overload as

@@ -136,6 +136,18 @@ func (c *runConfig) context(ctx context.Context) context.Context {
 	return ctx
 }
 
+// sweepOptions carries the call's retry, timeout and checkpoint
+// settings into the sweep layer.
+func (c *runConfig) sweepOptions() dse.SweepOptions {
+	return dse.SweepOptions{
+		Retry:           c.retry,
+		Timeout:         c.timeout,
+		CheckpointPath:  c.checkpoint,
+		CheckpointEvery: c.every,
+		Resume:          c.resume,
+	}
+}
+
 // engineFor resolves the call's engine: the shared one when supplied, a
 // private memoizing engine when WithCacheSize asked for one, nil
 // otherwise (the internal layers then build their own defaults).
@@ -163,15 +175,9 @@ func (c *runConfig) engineFor() *Engine {
 // This is the ground-truth path.
 func Sweep(ctx context.Context, e CtxEvaluator, s DesignSpace, opts ...Option) ([]float64, SweepReport, error) {
 	c := newRunConfig(opts)
-	return dse.SweepCtx(c.context(ctx), e, s, nil, dse.SweepOptions{
-		Engine:          c.engineFor(),
-		Workers:         c.workers,
-		Retry:           c.retry,
-		Timeout:         c.timeout,
-		CheckpointPath:  c.checkpoint,
-		CheckpointEvery: c.every,
-		Resume:          c.resume,
-	})
+	sweep := c.sweepOptions()
+	sweep.Engine, sweep.Workers = c.engineFor(), c.workers
+	return dse.SweepCtx(c.context(ctx), e, s, nil, sweep)
 }
 
 // RunAPS executes the Analysis-Plus-Simulation flow: solve the analytic
@@ -187,13 +193,7 @@ func RunAPS(ctx context.Context, m Model, space DesignSpace, eval CtxEvaluator, 
 		Workers:  c.workers,
 		Metric:   c.metric,
 		Optimize: c.optimize,
-		Sweep: dse.SweepOptions{
-			Retry:           c.retry,
-			Timeout:         c.timeout,
-			CheckpointPath:  c.checkpoint,
-			CheckpointEvery: c.every,
-			Resume:          c.resume,
-		},
+		Sweep:    c.sweepOptions(),
 	})
 }
 
