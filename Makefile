@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-json lint-suppressions test test-short race race-heavy check bench bench-json bench-engine bench-families bench-obs bench-server bench-tenants bench-cluster serve figures figures-full examples cover fuzz-short clean
+.PHONY: all build vet lint lint-json lint-suppressions test test-short race race-heavy check bench bench-smoke bench-json bench-engine bench-families bench-obs bench-server bench-tenants bench-cluster serve figures figures-full examples cover fuzz-short clean
 
 all: build vet lint test
 
@@ -50,6 +50,12 @@ check: build vet lint lint-suppressions test race
 # One iteration of every figure/table benchmark with its headline metric.
 bench:
 	$(GO) test -bench . -benchmem -benchtime 1x -run XXX .
+
+# One iteration of every engine, server and obs benchmark (BenchmarkWarmHit,
+# BenchmarkBatchStream, BenchmarkBatchHandler, ...), so the benchmarks the
+# docs quote keep compiling and running.
+bench-smoke:
+	$(GO) test -run XXX -bench . -benchtime 1x ./internal/engine ./internal/server ./internal/obs
 
 # Engine throughput (cold vs warm memo cache) as JSON for trend tracking.
 bench-json:
@@ -124,6 +130,7 @@ fuzz-short:
 	$(GO) test -run XXX -fuzz FuzzBatchPointsDecode -fuzztime 10s ./internal/server
 	$(GO) test -run XXX -fuzz FuzzBatchLineEncode -fuzztime 10s ./internal/server
 	$(GO) test -run XXX -fuzz FuzzResolveRequests -fuzztime 10s ./internal/server
+	$(GO) test -run XXX -fuzz FuzzSnapshotLoad -fuzztime 10s ./internal/engine
 
 clean:
 	$(GO) clean ./...

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"runtime/debug"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -21,8 +20,8 @@ import (
 // enforces that every implementation also carries the scalar method, and
 // the differential tests in dse enforce the bit-identity.
 //
-// EvaluateStream detects this interface and switches from per-point
-// dispatch to cache-friendly chunks, the single biggest win on the
+// EvaluateStream detects this interface and dispatches cache-friendly
+// chunks instead of single points, the single biggest win on the
 // evaluation hot path (see DESIGN.md §12).
 type BatchEvaluator interface {
 	EvaluateBatch(ctx context.Context, points [][]float64, out []float64) error
@@ -83,118 +82,17 @@ func chunkSize(n, workers int) int {
 	return c
 }
 
-// streamBatched is EvaluateStream over a BatchEvaluator: the plane is
-// cut into chunks, each chunk takes one gate slot and one worker slot
-// (fair-share arbitration moves from point to chunk granularity; single
-// point submissions — the server's /v1/evaluate — keep exactly the
-// scalar semantics), probes the memo cache in one critical section, and
-// evaluates all misses with a single guarded, retried batch call. The
-// evaluator's fingerprint is resolved once for the whole stream, not per
-// point.
-func (e *Engine) streamBatched(ctx context.Context, ev robust.Evaluator, be BatchEvaluator, points [][]float64, yield func(i int, o Outcome)) error {
-	n := len(points)
-	chunk := chunkSize(n, e.workers)
-	nchunks := (n + chunk - 1) / chunk
-	workers := e.workers
-	if workers > nchunks {
-		workers = nchunks
-	}
-
-	fp := ""
-	seed := uint64(0)
-	cacheable := false
-	if e.cache != nil {
-		if f, ok := ev.(Fingerprinter); ok {
-			fp = f.Fingerprint()
-			seed = hashFP(fp)
-			cacheable = true
-		}
-	}
-
-	type res struct {
-		lo   int
-		outs []Outcome
-	}
-	work := make(chan int)
-	results := make(chan res, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ci := range work {
-				lo := ci * chunk
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				// Same acquisition order as the scalar path: the external
-				// gate (when present) first, so a gated waiter never pins
-				// a worker slot while it queues.
-				var release func()
-				if e.gate != nil {
-					r, err := e.gate.AcquireSlot(ctx)
-					if err != nil {
-						return
-					}
-					release = r
-				}
-				select {
-				case e.sem <- struct{}{}:
-				case <-ctx.Done():
-					if release != nil {
-						release()
-					}
-					return
-				}
-				outs := e.doChunk(ctx, ev, be, points[lo:hi], cacheable, fp, seed)
-				<-e.sem
-				if release != nil {
-					release()
-				}
-				results <- res{lo: lo, outs: outs}
-			}
-		}()
-	}
-	go func() {
-		defer close(work)
-		for ci := 0; ci < nchunks; ci++ {
-			select {
-			case work <- ci:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-	for r := range results {
-		if yield != nil {
-			for j, o := range r.outs {
-				yield(r.lo+j, o)
-			}
-		}
-	}
-	return ctx.Err()
-}
-
-// doChunk evaluates one chunk: classify every point (memo hit, owned
-// miss, in-flight elsewhere) under a single lock acquisition, evaluate
-// all misses with one guarded batch call, publish the results, then
-// resolve points another computation owned through the scalar path.
-func (e *Engine) doChunk(ctx context.Context, ev robust.Evaluator, be BatchEvaluator, pts [][]float64, cacheable bool, fp string, seed uint64) []Outcome {
+// doChunk evaluates one chunk of a batched stream: classify every point
+// (memo hit, owned miss, in-flight elsewhere) under a single lock
+// acquisition, evaluate all misses with one computeChunk call, publish
+// the results, then resolve the points another computation owned
+// through doPoint.
+func (e *Engine) doChunk(ctx context.Context, ev robust.Evaluator, be BatchEvaluator, pts [][]float64, key memoKey) []Outcome {
 	outs := make([]Outcome, len(pts))
-	if !cacheable {
+	if !key.ok {
 		e.counters.requests.Add(uint64(len(pts)))
-		e.obs.requests.Add(uint64(len(pts)))
 		vals := make([]float64, len(pts))
 		attempts, err := e.computeChunk(ctx, be, pts, vals)
-		if err != nil && !isContextErr(err) {
-			e.counters.failures.Add(uint64(len(pts)))
-			e.obs.failures.Add(uint64(len(pts)))
-		}
 		for i := range pts {
 			outs[i] = chunkOutcome(vals[i], attempts, err)
 		}
@@ -203,7 +101,7 @@ func (e *Engine) doChunk(ctx context.Context, ev robust.Evaluator, be BatchEvalu
 
 	hashes := make([]uint64, len(pts))
 	for i, p := range pts {
-		hashes[i] = hashPoint(seed, p)
+		hashes[i] = hashPoint(key.seed, p)
 	}
 	// callSlab backs every in-flight registration of this chunk and done
 	// is their shared completion signal (the whole chunk publishes at
@@ -220,7 +118,7 @@ func (e *Engine) doChunk(ctx context.Context, ev robust.Evaluator, be BatchEvalu
 		hits       uint64
 	)
 	e.mu.Lock()
-	fpID := e.internLocked(fp)
+	fpID := e.internLocked(key.fp)
 	for i, p := range pts {
 		if v, ok := e.cache.get(hashes[i], fpID, p); ok {
 			outs[i] = Outcome{Value: v, CacheHit: true}
@@ -257,23 +155,15 @@ func (e *Engine) doChunk(ctx context.Context, ev robust.Evaluator, be BatchEvalu
 	}
 	e.mu.Unlock()
 
-	// Deferred points re-enter through Do (which counts their requests);
-	// everything else is this chunk's.
+	// Deferred points are counted when they re-enter through doPoint.
 	e.counters.requests.Add(uint64(len(pts) - len(deferred)))
-	e.obs.requests.Add(uint64(len(pts) - len(deferred)))
 	if hits > 0 {
 		e.counters.cacheHits.Add(hits)
-		e.obs.cacheHits.Add(hits)
 	}
 	if len(miss) > 0 {
 		e.counters.cacheMisses.Add(uint64(len(miss)))
-		e.obs.cacheMisses.Add(uint64(len(miss)))
 		vals := make([]float64, len(miss))
 		attempts, err := e.computeChunk(ctx, be, missPts, vals)
-		if err != nil && !isContextErr(err) {
-			e.counters.failures.Add(uint64(len(miss)))
-			e.obs.failures.Add(uint64(len(miss)))
-		}
 		evicted := uint64(0)
 		e.mu.Lock()
 		registered := 0
@@ -307,13 +197,12 @@ func (e *Engine) doChunk(ctx context.Context, ev robust.Evaluator, be BatchEvalu
 		}
 		if evicted > 0 {
 			e.counters.evictions.Add(evicted)
-			e.obs.evictions.Add(evicted)
 		}
 	}
 	// Resolved last: a duplicate point within this very chunk waits on a
 	// call the loop above has already closed, so this cannot deadlock.
 	for _, i := range deferred {
-		outs[i] = e.doKeyed(ctx, ev, pts[i], hashes[i], fp)
+		outs[i] = e.doPoint(ctx, ev, pts[i], key)
 	}
 	return outs
 }
@@ -327,39 +216,38 @@ func chunkOutcome(val float64, attempts int, err error) Outcome {
 	return Outcome{Value: val, Attempts: attempts}
 }
 
-// computeChunk is computeInner for a batch: one guarded, retried
-// EvaluateBatch call metered like the scalar path (evaluations counted
-// per point per attempt; wall time and the eval-seconds histogram
-// observed once per batch call; retries counted per extra attempt).
+// computeChunk is the engine's one evaluator call that is guarded,
+// retried, timed and traced: a batch chunk's misses, or a single point
+// through pointBatch. Evaluations count per point per attempt; the
+// eval-seconds histogram takes one sample per evaluation (the amortized
+// per-point latency), so its count equals the evaluations counter;
+// retries count per extra attempt, failures per point of a call that
+// failed for a reason other than cancellation.
 func (e *Engine) computeChunk(ctx context.Context, be BatchEvaluator, pts [][]float64, vals []float64) (attempts int, err error) {
 	ctx, sp := e.tracer.Start(ctx, "engine.eval")
-	e.obs.inflight.Add(1)
+	e.counters.inflight.Add(1)
 	start := time.Now() //lint:allow detguard wall-clock pair feeds the latency counters/histogram only, never the evaluated values
 	attempts, err = e.retry.Do(ctx, e.rng, func(ctx context.Context) error {
 		e.counters.evaluations.Add(uint64(len(pts)))
-		e.obs.evaluations.Add(uint64(len(pts)))
 		err2 := guardedBatch(ctx, be, pts, vals)
 		var pe *robust.PanicError
 		if errors.As(err2, &pe) {
 			e.counters.panics.Add(1)
-			e.obs.panics.Add(1)
 		}
 		return err2
 	})
 	elapsed := time.Since(start) //lint:allow detguard elapsed feeds the latency counters/histogram only, never the evaluated values
 	e.counters.wallNanos.Add(uint64(elapsed))
-	// One histogram observation per raw evaluation (the amortized
-	// per-point latency), so the eval-seconds count tracks the
-	// evaluations counter exactly as on the scalar path.
-	evals := uint64(len(pts)) * uint64(attempts)
-	if evals > 0 {
-		e.obs.evalSeconds.ObserveN(elapsed.Seconds()/float64(evals), evals)
+	if evals := uint64(len(pts)) * uint64(attempts); evals > 0 {
+		e.counters.evalSeconds.ObserveN(elapsed.Seconds()/float64(evals), evals)
 	}
 	if attempts > 1 {
 		e.counters.retries.Add(uint64(attempts - 1))
-		e.obs.retries.Add(uint64(attempts - 1))
 	}
-	e.obs.inflight.Add(-1)
+	if err != nil && !isContextErr(err) {
+		e.counters.failures.Add(uint64(len(pts)))
+	}
+	e.counters.inflight.Add(-1)
 	if sp != nil {
 		sp.Annotate(obs.I("points", int64(len(pts))))
 		sp.Annotate(obs.I("attempts", int64(attempts)))
@@ -371,8 +259,8 @@ func (e *Engine) computeChunk(ctx context.Context, be BatchEvaluator, pts [][]fl
 	return attempts, err
 }
 
-// guardedBatch is robust.Guard for a batch call: a panicking kernel
-// becomes a *robust.PanicError instead of tearing down the stream.
+// guardedBatch isolates panics: a panicking evaluator becomes a
+// *robust.PanicError instead of tearing down the stream.
 func guardedBatch(ctx context.Context, be BatchEvaluator, pts [][]float64, vals []float64) (err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -34,7 +34,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"time"
+	"sync/atomic"
 
 	"repro/internal/obs"
 	"repro/internal/robust"
@@ -67,12 +67,12 @@ func (f Func) EvaluateCtx(ctx context.Context, point []float64) (float64, error)
 func (f Func) Fingerprint() string { return f.FP }
 
 // Gate arbitrates worker slots among competing submissions. When an
-// Engine carries one, every EvaluateStream point acquires a gate slot
-// before it takes a pool worker, so an external scheduler — the server's
-// per-tenant fair-share queue, for example — decides whose point runs
-// next instead of the channel's arrival order. The gate sees the
-// submission's context, which is where schedulers carry their identity
-// (e.g. the requesting tenant).
+// Engine carries one, every EvaluateStream unit (a point, or a chunk for
+// a BatchEvaluator) acquires a gate slot before it takes a pool worker,
+// so an external scheduler — the server's per-tenant fair-share queue,
+// for example — decides whose unit runs next instead of arrival order.
+// The gate sees the submission's context, which is where schedulers
+// carry their identity (e.g. the requesting tenant).
 //
 // AcquireSlot blocks until a slot is granted, returning the release
 // closure the caller must invoke after the evaluation, or ctx's error
@@ -107,13 +107,13 @@ type Options struct {
 	// sum across them while each engine's Stats stays its own. Nil
 	// disables the mirror.
 	Metrics *obs.Registry
-	// Gate, when non-nil, schedules EvaluateStream points: each point
-	// acquires a gate slot (in addition to the engine's own worker
-	// semaphore) before evaluating, so an external policy — fair-share
-	// across tenants, priority classes — owns the dispatch order of the
-	// shared pool. Single-point Evaluate/Do calls bypass the gate; they
-	// are bounded by the caller's own admission control. On the batched
-	// path the gate arbitrates chunks rather than points.
+	// Gate, when non-nil, schedules EvaluateStream units: each unit (a
+	// point, or a chunk for a BatchEvaluator) acquires a gate slot (in
+	// addition to the engine's own worker semaphore) before evaluating,
+	// so an external policy — fair-share across tenants, priority
+	// classes — owns the dispatch order of the shared pool. Single-point
+	// Evaluate/Do calls bypass the gate; they are bounded by the
+	// caller's own admission control.
 	Gate Gate
 }
 
@@ -165,49 +165,7 @@ type Engine struct {
 	fps      map[string]uint32 // fingerprint → interned ID for exact key checks
 
 	counters counters
-
-	tracer *obs.Tracer
-	obs    instruments
-}
-
-// instruments are the engine's pre-resolved observability handles. They
-// mirror the private counters one-for-one at the exact same increment
-// sites, so for an engine that owns its registry a metrics snapshot and
-// Stats agree bit-for-bit. The two sets are kept apart because a
-// registry may be shared: the façade's per-call private engines all
-// count into one WithMetrics registry, whose engine_*_total counters are
-// then the sum across engines while each Stats stays per engine. Every
-// field is a valid no-op when nil (disabled registry).
-type instruments struct {
-	requests    *obs.Counter
-	evaluations *obs.Counter
-	cacheHits   *obs.Counter
-	cacheMisses *obs.Counter
-	dedups      *obs.Counter
-	panics      *obs.Counter
-	retries     *obs.Counter
-	failures    *obs.Counter
-	evictions   *obs.Counter
-	inflight    *obs.Gauge
-	evalSeconds *obs.Histogram
-}
-
-// newInstruments resolves the engine's instruments from r (all nil for a
-// nil registry).
-func newInstruments(r *obs.Registry) instruments {
-	return instruments{
-		requests:    r.Counter("engine_requests_total"),
-		evaluations: r.Counter("engine_evaluations_total"),
-		cacheHits:   r.Counter("engine_cache_hits_total"),
-		cacheMisses: r.Counter("engine_cache_misses_total"),
-		dedups:      r.Counter("engine_dedups_total"),
-		panics:      r.Counter("engine_panics_total"),
-		retries:     r.Counter("engine_retries_total"),
-		failures:    r.Counter("engine_failures_total"),
-		evictions:   r.Counter("engine_evictions_total"),
-		inflight:    r.Gauge("engine_inflight"),
-		evalSeconds: r.Histogram("engine_eval_seconds", obs.LatencyBuckets()),
-	}
+	tracer   *obs.Tracer
 }
 
 // New builds an engine. The zero Options value gives GOMAXPROCS workers,
@@ -226,8 +184,8 @@ func New(opts Options) *Engine {
 		inflight: make(map[uint64]*call),
 		fps:      make(map[string]uint32),
 		tracer:   opts.Tracer,
-		obs:      newInstruments(opts.Metrics),
 	}
+	e.counters.mirror(opts.Metrics)
 	if opts.CacheSize >= 0 {
 		size := opts.CacheSize
 		if size == 0 {
@@ -250,36 +208,47 @@ func (e *Engine) Evaluate(ctx context.Context, ev robust.Evaluator, point []floa
 	return o.Value, o.Err
 }
 
+// memoKey is an evaluator's memo identity, resolved once per request or
+// stream: the fingerprint and its hash seed. ok is false when results
+// are not cached (caching disabled, or an anonymous evaluator).
+type memoKey struct {
+	fp   string
+	seed uint64
+	ok   bool
+}
+
+// keyOf resolves ev's memo identity.
+func (e *Engine) keyOf(ev robust.Evaluator) memoKey {
+	if e.cache != nil {
+		if f, ok := ev.(Fingerprinter); ok {
+			fp := f.Fingerprint()
+			return memoKey{fp: fp, seed: hashFP(fp), ok: true}
+		}
+	}
+	return memoKey{}
+}
+
 // Do is Evaluate with the full Outcome (attempt count, cache/shared
 // provenance).
 func (e *Engine) Do(ctx context.Context, ev robust.Evaluator, point []float64) Outcome {
-	e.counters.requests.Add(1)
-	e.obs.requests.Add(1)
-	fp := ""
-	cacheable := false
-	if e.cache != nil {
-		if f, ok := ev.(Fingerprinter); ok {
-			fp = f.Fingerprint()
-			cacheable = true
-		}
-	}
-	if !cacheable {
-		return e.compute(ctx, ev, point)
-	}
-	return e.doKeyed(ctx, ev, point, hashPoint(hashFP(fp), point), fp)
+	return e.doPoint(ctx, ev, point, e.keyOf(ev))
 }
 
-// doKeyed is the cacheable half of Do: the caller has already derived
-// the 64-bit key hash (cheap, zero-alloc) and still holds the exact
-// fingerprint for identity checks.
-func (e *Engine) doKeyed(ctx context.Context, ev robust.Evaluator, point []float64, hash uint64, fp string) Outcome {
+// doPoint serves one point request whose memo identity the caller has
+// already resolved: a single Do, one unit of a scalar stream, or a chunk
+// point another computation owned.
+func (e *Engine) doPoint(ctx context.Context, ev robust.Evaluator, point []float64, key memoKey) Outcome {
+	e.counters.requests.Add(1)
+	if !key.ok {
+		return e.compute(ctx, ev, point)
+	}
+	hash := hashPoint(key.seed, point)
 	for {
 		e.mu.Lock()
-		fpID := e.internLocked(fp)
+		fpID := e.internLocked(key.fp)
 		if v, ok := e.cache.get(hash, fpID, point); ok {
 			e.mu.Unlock()
 			e.counters.cacheHits.Add(1)
-			e.obs.cacheHits.Add(1)
 			return Outcome{Value: v, CacheHit: true}
 		}
 		if c, ok := e.inflight[hash]; ok {
@@ -289,7 +258,6 @@ func (e *Engine) doKeyed(ctx context.Context, ev robust.Evaluator, point []float
 				// colliding owner keeps the table slot; exactness first).
 				e.mu.Unlock()
 				e.counters.cacheMisses.Add(1)
-				e.obs.cacheMisses.Add(1)
 				return e.compute(ctx, ev, point)
 			}
 			e.mu.Unlock()
@@ -304,7 +272,6 @@ func (e *Engine) doKeyed(ctx context.Context, ev robust.Evaluator, point []float
 				continue
 			}
 			e.counters.dedups.Add(1)
-			e.obs.dedups.Add(1)
 			return Outcome{Value: c.out.Value, Shared: true, Err: c.out.Err}
 		}
 		c := &call{fpID: fpID, point: point, done: make(chan struct{})}
@@ -312,14 +279,12 @@ func (e *Engine) doKeyed(ctx context.Context, ev robust.Evaluator, point []float
 		e.mu.Unlock()
 
 		e.counters.cacheMisses.Add(1)
-		e.obs.cacheMisses.Add(1)
 		out := e.compute(ctx, ev, point)
 		c.out = out
 		e.mu.Lock()
 		if out.Err == nil {
 			if e.cache.add(hash, c.fpID, point, out.Value) {
 				e.counters.evictions.Add(1)
-				e.obs.evictions.Add(1)
 			}
 		}
 		delete(e.inflight, hash)
@@ -340,88 +305,72 @@ func (e *Engine) internLocked(fp string) uint32 {
 	return id
 }
 
-// compute wraps computeInner in the engine.eval span and the inflight
-// gauge; the wrapper costs two branches when observability is off.
+// compute evaluates one point with the scalar evaluator through
+// computeChunk, the engine's one guarded, retried and metered call.
 func (e *Engine) compute(ctx context.Context, ev robust.Evaluator, point []float64) Outcome {
-	ctx, sp := e.tracer.Start(ctx, "engine.eval")
-	e.obs.inflight.Add(1)
-	out := e.computeInner(ctx, ev, point)
-	e.obs.inflight.Add(-1)
-	if sp != nil {
-		sp.Annotate(obs.I("attempts", int64(out.Attempts)))
-		if out.Err != nil {
-			sp.Annotate(obs.S("error", out.Err.Error()))
-		}
-		sp.Finish()
-	}
-	return out
+	var val [1]float64
+	attempts, err := e.computeChunk(ctx, pointBatch{ev}, [][]float64{point}, val[:])
+	return chunkOutcome(val[0], attempts, err)
 }
 
-// computeInner runs the guarded, retried evaluation and meters it.
-func (e *Engine) computeInner(ctx context.Context, ev robust.Evaluator, point []float64) Outcome {
-	guarded := robust.Guard(ev)
-	var v float64
-	start := time.Now() //lint:allow detguard wall-clock pair feeds the latency counters/histogram only, never the evaluated value
-	attempts, err := e.retry.Do(ctx, e.rng, func(ctx context.Context) error {
-		e.counters.evaluations.Add(1)
-		e.obs.evaluations.Add(1)
-		var err2 error
-		v, err2 = guarded.EvaluateCtx(ctx, point)
-		var pe *robust.PanicError
-		if errors.As(err2, &pe) {
-			e.counters.panics.Add(1)
-			e.obs.panics.Add(1)
-		}
-		return err2
-	})
-	elapsed := time.Since(start) //lint:allow detguard elapsed feeds the latency counters/histogram only, never the evaluated value
-	e.counters.wallNanos.Add(uint64(elapsed))
-	e.obs.evalSeconds.Observe(elapsed.Seconds())
-	if attempts > 1 {
-		e.counters.retries.Add(uint64(attempts - 1))
-		e.obs.retries.Add(uint64(attempts - 1))
-	}
-	if err != nil {
-		if !isContextErr(err) {
-			e.counters.failures.Add(1)
-			e.obs.failures.Add(1)
-		}
-		return Outcome{Value: math.NaN(), Attempts: attempts, Err: err}
-	}
-	return Outcome{Value: v, Attempts: attempts}
+// pointBatch presents a scalar evaluator as a batch of one point.
+type pointBatch struct{ robust.Evaluator }
+
+// EvaluateBatch implements BatchEvaluator with one EvaluateCtx call.
+func (p pointBatch) EvaluateBatch(ctx context.Context, points [][]float64, out []float64) error {
+	v, err := p.EvaluateCtx(ctx, points[0])
+	out[0] = v
+	return err
 }
 
 // EvaluateStream evaluates every point on the engine's worker pool and
 // invokes yield(i, outcome) from a single goroutine (no locking needed in
-// yield) as results complete, in completion order. Points never started
-// because ctx was cancelled produce no yield call. EvaluateStream returns
-// ctx.Err() after all in-flight evaluations have finished — no worker
-// goroutine outlives the call.
+// yield) as results complete, in completion order. The pool's unit of
+// work is a span of points: a chunk for a BatchEvaluator (see doChunk),
+// a single point otherwise. Each unit takes one Gate slot and one worker
+// slot, and the evaluator's memo identity is resolved once per stream.
+// Units never started — ctx was cancelled, or the Gate refused a slot —
+// produce no yield call. EvaluateStream returns ctx.Err() after all
+// in-flight evaluations have finished — no goroutine outlives the call.
 func (e *Engine) EvaluateStream(ctx context.Context, ev robust.Evaluator, points [][]float64, yield func(i int, o Outcome)) error {
 	n := len(points)
 	if n == 0 {
 		return ctx.Err()
 	}
-	if be, ok := ev.(BatchEvaluator); ok {
-		return e.streamBatched(ctx, ev, be, points, yield)
+	key := e.keyOf(ev)
+	be, batched := ev.(BatchEvaluator)
+	span := 1
+	if batched {
+		span = chunkSize(n, e.workers)
 	}
-	workers := e.workers
-	if workers > n {
-		workers = n
-	}
+	units := (n + span - 1) / span
+	workers := min(e.workers, units)
+
+	// res is one unit's result: outs for a chunk, o for a single point
+	// (inline, so a scalar stream allocates nothing per point).
 	type res struct {
-		i int
-		o Outcome
+		lo   int
+		o    Outcome
+		outs []Outcome
 	}
-	work := make(chan int)
 	results := make(chan res, workers)
+	var next atomic.Int64 // units are claimed in index order
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range work {
-				// The external gate (when present) decides whose point runs
+			for {
+				u := int(next.Add(1) - 1)
+				if u >= units {
+					return
+				}
+				select {
+				case <-ctx.Done():
+					return
+				default:
+				}
+				// The external gate (when present) decides whose unit runs
 				// next; it must be taken before the pool semaphore so a
 				// gated waiter never pins a worker slot while it queues.
 				var release func()
@@ -432,7 +381,7 @@ func (e *Engine) EvaluateStream(ctx context.Context, ev robust.Evaluator, points
 					}
 					release = r
 				}
-				// Acquire a global slot so concurrent batches on one
+				// Acquire a global slot so concurrent streams on one
 				// engine share the same concurrency bound.
 				select {
 				case e.sem <- struct{}{}:
@@ -442,32 +391,33 @@ func (e *Engine) EvaluateStream(ctx context.Context, ev robust.Evaluator, points
 					}
 					return
 				}
-				o := e.Do(ctx, ev, points[i])
+				r := res{lo: u * span}
+				if batched {
+					r.outs = e.doChunk(ctx, ev, be, points[r.lo:min(r.lo+span, n)], key)
+				} else {
+					r.o = e.doPoint(ctx, ev, points[r.lo], key)
+				}
 				<-e.sem
 				if release != nil {
 					release()
 				}
-				results <- res{i: i, o: o}
+				results <- r
 			}
 		}()
 	}
-	go func() {
-		defer close(work)
-		for i := range points {
-			select {
-			case work <- i:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
 	go func() {
 		wg.Wait()
 		close(results)
 	}()
 	for r := range results {
-		if yield != nil {
-			yield(r.i, r.o)
+		switch {
+		case yield == nil:
+		case batched:
+			for j, o := range r.outs {
+				yield(r.lo+j, o)
+			}
+		default:
+			yield(r.lo, r.o)
 		}
 	}
 	return ctx.Err()

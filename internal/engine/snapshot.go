@@ -140,12 +140,21 @@ func parseSnapshot(data []byte) ([]snapshotEntry, error) {
 		return nil, fmt.Errorf("checksum mismatch (file %016x, computed %016x)", trailer, sum)
 	}
 	r := snapReader{buf: payload[8:]}
+	// Every count is checked against the bytes left before it sizes an
+	// allocation (a fingerprint takes at least 4, an entry at least 16),
+	// so a corrupt count is an error, not a multi-gigabyte make.
 	fpCount := r.u32()
+	if r.err == nil && int(fpCount) > len(r.buf)/4 {
+		return nil, fmt.Errorf("claims %d fingerprints beyond the blob", fpCount)
+	}
 	fps := make([]string, 0, fpCount)
 	for i := uint32(0); i < fpCount; i++ {
 		fps = append(fps, string(r.bytes(int(r.u32()))))
 	}
 	entryCount := r.u32()
+	if r.err == nil && int(entryCount) > len(r.buf)/16 {
+		return nil, fmt.Errorf("claims %d entries beyond the blob", entryCount)
+	}
 	entries := make([]snapshotEntry, 0, entryCount)
 	for i := uint32(0); i < entryCount; i++ {
 		fpIdx := r.u32()

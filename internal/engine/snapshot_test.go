@@ -24,7 +24,7 @@ func (s snapEval) EvaluateCtx(_ context.Context, p []float64) (float64, error) {
 }
 
 // fillEngine evaluates n distinct points so the cache holds them.
-func fillEngine(t *testing.T, e *Engine, ev snapEval, n int) [][]float64 {
+func fillEngine(t testing.TB, e *Engine, ev snapEval, n int) [][]float64 {
 	t.Helper()
 	points := make([][]float64, n)
 	for i := range points {
@@ -259,4 +259,86 @@ func TestKeyHashMatchesCachePlacement(t *testing.T) {
 	if got, want := KeyHash(fp, point), hashPoint(hashFP(fp), point); got != want {
 		t.Fatalf("KeyHash = %016x, internal key = %016x", got, want)
 	}
+}
+
+// FuzzSnapshotLoad feeds arbitrary bytes through LoadSnapshot. A rejected
+// file must leave the cache exactly as it was (same size, the seeded
+// probe entry still a bit-identical hit); an accepted one must round-trip
+// save → load → save byte for byte. With reseal set the trailer checksum
+// is recomputed first, so mutations reach the parser behind it.
+func FuzzSnapshotLoad(f *testing.F) {
+	src := New(Options{Workers: 2, CacheSize: 64})
+	fillEngine(f, src, snapEval{fp: "fuzz/a"}, 6)
+	for _, p := range [][]float64{{math.NaN()}, {math.Copysign(0, -1), math.Inf(1)}, {}} {
+		if _, err := src.Evaluate(context.Background(), snapEval{fp: "fuzz/b"}, p); err != nil {
+			f.Fatal(err)
+		}
+	}
+	path := filepath.Join(f.TempDir(), "seed.snap")
+	if _, err := src.SaveSnapshot(path); err != nil {
+		f.Fatal(err)
+	}
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(blob, false)
+	f.Add(blob, true)
+	f.Add(blob[:len(blob)/2], true)
+	f.Add(blob[:16], true)
+	f.Add([]byte{}, false)
+	// Counts far beyond the blob must be refused before they size a make.
+	huge := binary.LittleEndian.AppendUint32(snapshotMagic[:], math.MaxUint32)
+	f.Add(append(huge, make([]byte, 8)...), true)
+	huge = binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(snapshotMagic[:], 0), math.MaxUint32)
+	f.Add(append(huge, make([]byte, 8)...), true)
+
+	ctx := context.Background()
+	probe, probePt := snapEval{fp: "fuzz/probe"}, []float64{1, 2, 3}
+	f.Fuzz(func(t *testing.T, data []byte, reseal bool) {
+		if reseal && len(data) >= 8 {
+			payload := append([]byte(nil), data[:len(data)-8]...)
+			data = binary.LittleEndian.AppendUint64(payload, fnvSum(payload))
+		}
+		dir := t.TempDir()
+		in := filepath.Join(dir, "in.snap")
+		if err := os.WriteFile(in, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		e := New(Options{Workers: 1, CacheSize: 64})
+		want, err := e.Evaluate(ctx, probe, probePt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := e.CacheLen()
+		if _, err := e.LoadSnapshot(in); err != nil {
+			if got := e.CacheLen(); got != before {
+				t.Fatalf("rejected load (%v) changed the cache size %d → %d", err, before, got)
+			}
+			if o := e.Do(ctx, probe, probePt); !o.CacheHit || math.Float64bits(o.Value) != math.Float64bits(want) {
+				t.Fatalf("rejected load (%v) lost the probe entry: %+v", err, o)
+			}
+			return
+		}
+		first := filepath.Join(dir, "first.snap")
+		if _, err := e.SaveSnapshot(first); err != nil {
+			t.Fatal(err)
+		}
+		e2 := New(Options{Workers: 1, CacheSize: 64})
+		if _, err := e2.LoadSnapshot(first); err != nil {
+			t.Fatalf("reloading a saved snapshot: %v", err)
+		}
+		second := filepath.Join(dir, "second.snap")
+		if _, err := e2.SaveSnapshot(second); err != nil {
+			t.Fatal(err)
+		}
+		b1, err1 := os.ReadFile(first)
+		b2, err2 := os.ReadFile(second)
+		if err1 != nil || err2 != nil {
+			t.Fatal(err1, err2)
+		}
+		if string(b1) != string(b2) {
+			t.Fatalf("save → load → save differs (%d vs %d bytes)", len(b1), len(b2))
+		}
+	})
 }

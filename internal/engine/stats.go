@@ -4,20 +4,61 @@ import (
 	"fmt"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/obs"
 )
 
-// counters are the engine's live atomics.
+// counter is one engine event count: the engine's own atomic, which
+// Stats reads, paired with its mirror in the optional metrics registry.
+// The two stay apart because a registry may be shared — the façade's
+// per-call private engines all count into one WithMetrics registry,
+// whose engine_*_total counters are then the sum across engines while
+// each Stats stays per engine — but every event is a single Add. A nil
+// mirror (no registry) is a no-op.
+type counter struct {
+	n      atomic.Uint64
+	mirror *obs.Counter
+}
+
+// Add counts d events on the engine and in its registry.
+func (c *counter) Add(d uint64) {
+	c.n.Add(d)
+	c.mirror.Add(d)
+}
+
+// counters are the engine's live event counts plus the registry
+// instruments that have no Stats twin. Everything is resolved once in
+// New, so the evaluation hot path never performs a registry lookup.
 type counters struct {
-	requests    atomic.Uint64
-	evaluations atomic.Uint64
-	cacheHits   atomic.Uint64
-	cacheMisses atomic.Uint64
-	dedups      atomic.Uint64
-	panics      atomic.Uint64
-	retries     atomic.Uint64
-	failures    atomic.Uint64
-	evictions   atomic.Uint64
+	requests    counter
+	evaluations counter
+	cacheHits   counter
+	cacheMisses counter
+	dedups      counter
+	panics      counter
+	retries     counter
+	failures    counter
+	evictions   counter
 	wallNanos   atomic.Uint64
+	inflight    *obs.Gauge
+	evalSeconds *obs.Histogram
+}
+
+// mirror resolves the registry instruments (engine_*_total,
+// engine_inflight, engine_eval_seconds); a nil registry leaves them all
+// nil.
+func (c *counters) mirror(r *obs.Registry) {
+	c.requests.mirror = r.Counter("engine_requests_total")
+	c.evaluations.mirror = r.Counter("engine_evaluations_total")
+	c.cacheHits.mirror = r.Counter("engine_cache_hits_total")
+	c.cacheMisses.mirror = r.Counter("engine_cache_misses_total")
+	c.dedups.mirror = r.Counter("engine_dedups_total")
+	c.panics.mirror = r.Counter("engine_panics_total")
+	c.retries.mirror = r.Counter("engine_retries_total")
+	c.failures.mirror = r.Counter("engine_failures_total")
+	c.evictions.mirror = r.Counter("engine_evictions_total")
+	c.inflight = r.Gauge("engine_inflight")
+	c.evalSeconds = r.Histogram("engine_eval_seconds", obs.LatencyBuckets())
 }
 
 // Stats is a consistent-enough snapshot of the engine's counters (each
@@ -78,15 +119,15 @@ func (e *Engine) Snapshot() Snapshot {
 // Stats returns a snapshot of the engine's counters.
 func (e *Engine) Stats() Stats {
 	return Stats{
-		Requests:     e.counters.requests.Load(),
-		Evaluations:  e.counters.evaluations.Load(),
-		CacheHits:    e.counters.cacheHits.Load(),
-		CacheMisses:  e.counters.cacheMisses.Load(),
-		Dedups:       e.counters.dedups.Load(),
-		Panics:       e.counters.panics.Load(),
-		Retries:      e.counters.retries.Load(),
-		Failures:     e.counters.failures.Load(),
-		Evictions:    e.counters.evictions.Load(),
+		Requests:     e.counters.requests.n.Load(),
+		Evaluations:  e.counters.evaluations.n.Load(),
+		CacheHits:    e.counters.cacheHits.n.Load(),
+		CacheMisses:  e.counters.cacheMisses.n.Load(),
+		Dedups:       e.counters.dedups.n.Load(),
+		Panics:       e.counters.panics.n.Load(),
+		Retries:      e.counters.retries.n.Load(),
+		Failures:     e.counters.failures.n.Load(),
+		Evictions:    e.counters.evictions.n.Load(),
 		CacheEntries: e.CacheLen(),
 		WallTime:     time.Duration(e.counters.wallNanos.Load()),
 	}
