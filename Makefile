@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-json lint-suppressions test test-short race race-heavy check bench bench-smoke bench-json bench-engine bench-families bench-obs bench-server bench-tenants bench-cluster serve figures figures-full examples cover fuzz-short clean
+.PHONY: all build vet lint lint-json lint-suppressions test test-short race race-heavy check bench bench-smoke bench-cluster serve figures figures-full examples cover fuzz-short clean
 
 all: build vet lint test
 
@@ -57,44 +57,13 @@ bench:
 bench-smoke:
 	$(GO) test -run XXX -bench . -benchtime 1x ./internal/engine ./internal/server ./internal/obs
 
-# Engine throughput (cold vs warm memo cache) as JSON for trend tracking.
-bench-json:
-	$(GO) run ./cmd/enginebench -out BENCH_engine.json
-
-# Batched vs scalar dispatch: the same sweep on both engine paths, with
-# bit-identity verified and allocations per point recorded (see
-# DESIGN.md §12). Fails if any value differs by a single bit.
-bench-engine:
-	$(GO) run ./cmd/enginebench -batch -out BENCH_engine.json
-
-# Every registered model family on the per-request scalar path vs the
-# compiled batched path, bit-identity verified per family (see
-# DESIGN.md §14). Fails if any family's values diverge by a single bit.
-bench-families:
-	$(GO) run ./cmd/enginebench -families -out BENCH_families.json
-
-# Observability cost: the same benchmark with the tracer and metrics
-# registry disabled vs enabled, side by side (see DESIGN.md §9).
-bench-obs:
-	$(GO) run ./cmd/enginebench -per 5 -rounds 5 -obs BENCH_obs.json
-
-# HTTP serving path: concurrent clients batching through a loopback
-# c2bound server, cold vs warm shared cache (see DESIGN.md §10).
-bench-server:
-	$(GO) run ./cmd/enginebench -server -per 4 -rounds 3 -clients 8 -out BENCH_server.json
-
-# Multi-tenant isolation: a flooder tenant saturates the admission gate
-# while a trickler sends 1 req/s; fails if the trickler is ever shed
-# (see DESIGN.md §11).
-bench-tenants:
-	$(GO) run ./cmd/enginebench -tenants -clients 16 -duration 10s -out BENCH_tenants.json
-
 # Distributed tier: 1..3 real c2bound-server processes sharing a
 # consistent-hash ring, one full catalog sweep each — shard balance,
 # warm hit-rate vs peer count and fan-out latency (see DESIGN.md §15).
-# Fails on shard imbalance over 15% or a non-increasing warm hit rate.
+# Fails on shard imbalance over 15%, any local-fallback point or a
+# non-increasing warm hit rate.
 bench-cluster:
-	$(GO) run ./cmd/enginebench -cluster -cluster-peers 3 -per 4 -out BENCH_cluster.json
+	$(GO) run ./cmd/clusterbench -peers 3 -per 4 -out BENCH_cluster.json
 
 # Run the evaluation service locally on :8080.
 serve:
@@ -131,6 +100,7 @@ fuzz-short:
 	$(GO) test -run XXX -fuzz FuzzBatchLineEncode -fuzztime 10s ./internal/server
 	$(GO) test -run XXX -fuzz FuzzResolveRequests -fuzztime 10s ./internal/server
 	$(GO) test -run XXX -fuzz FuzzSnapshotLoad -fuzztime 10s ./internal/engine
+	$(GO) test -run XXX -fuzz FuzzLoadCheckpoint -fuzztime 10s ./internal/dse
 
 clean:
 	$(GO) clean ./...

@@ -1,6 +1,8 @@
 package dse
 
 import (
+	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -8,7 +10,7 @@ import (
 )
 
 // tinySpace returns a 2-point space for checkpoint tests.
-func tinySpace(t *testing.T) Space {
+func tinySpace(t testing.TB) Space {
 	t.Helper()
 	s, err := NewSpace(
 		Param{Name: "x", Values: []float64{1, 2}},
@@ -140,4 +142,89 @@ func TestSaveCheckpointConcurrentSavers(t *testing.T) {
 			t.Fatalf("temp debris survived: %s", e.Name())
 		}
 	}
+}
+
+// FuzzLoadCheckpoint feeds LoadCheckpoint arbitrary bytes. It must never
+// panic, a checkpoint it accepts carries one value per index, and an
+// accepted checkpoint saved, loaded and saved again is byte-stable with
+// its values intact bit for bit.
+func FuzzLoadCheckpoint(f *testing.F) {
+	s := tinySpace(f)
+	seed := filepath.Join(f.TempDir(), "seed.json")
+	if err := SaveCheckpoint(seed, s, []float64{math.Inf(1), -0.5}, []int{1, 0}); err != nil {
+		f.Fatal(err)
+	}
+	blob, err := os.ReadFile(seed)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(blob)
+	f.Add(blob[:len(blob)/2])
+	f.Add([]byte(`{"version":1,"signature":"0","indices":[0,1],"values":["1"]}`))
+	f.Add([]byte(`{"version":1,"signature":"0","indices":[0,1,2],"values":["NaN","+Inf","-Inf"]}`))
+	f.Add([]byte(`{"version":1,"signature":"0","indices":[0],"values":["1e400"]}`))
+	f.Add([]byte(`{"version":1,"signature":"0","indices":[9223372036854775807,-1],"values":["1","2"]}`))
+	f.Add([]byte(`{"version":1,"signature":"0","indices":[1e30],"values":["1"]}`))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		in := filepath.Join(dir, "in.json")
+		if err := os.WriteFile(in, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ck, err := LoadCheckpoint(in)
+		if err != nil {
+			return
+		}
+		if len(ck.Values) != len(ck.Indices) {
+			t.Fatalf("accepted checkpoint has %d values for %d indices", len(ck.Values), len(ck.Indices))
+		}
+		// The round trip re-saves over a value slab as large as the highest
+		// index: negative indices (which a save refuses) and slabs too large
+		// to build are outside it.
+		slab := func(ck Checkpoint) []float64 {
+			size := 0
+			for _, idx := range ck.Indices {
+				if idx < 0 || idx >= 1<<16 {
+					return nil
+				}
+				size = max(size, idx+1)
+			}
+			values := make([]float64, size)
+			for i, idx := range ck.Indices {
+				values[idx] = ck.Values[i]
+			}
+			return values
+		}
+		values := slab(ck)
+		if values == nil {
+			return
+		}
+		save := func(name string, values []float64, indices []int) []byte {
+			path := filepath.Join(dir, name)
+			if err := SaveCheckpoint(path, s, values, indices); err != nil {
+				t.Fatalf("saving an accepted checkpoint: %v", err)
+			}
+			out, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out
+		}
+		first := save("first.json", values, ck.Indices)
+		re, err := LoadCheckpoint(filepath.Join(dir, "first.json"))
+		if err != nil {
+			t.Fatalf("reloading a saved checkpoint: %v", err)
+		}
+		for i, idx := range re.Indices {
+			got, want := re.Values[i], values[idx]
+			if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+				t.Fatalf("index %d: reloaded %v (%x), saved %v (%x)", idx, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+		if second := save("second.json", slab(re), re.Indices); !bytes.Equal(first, second) {
+			t.Fatalf("Save→Load→Save is not byte-stable:\n%s\n%s", first, second)
+		}
+	})
 }

@@ -130,17 +130,55 @@ func TestFamilyEvaluatorMatchesModelEvaluator(t *testing.T) {
 	}
 }
 
+// denseFamilySpace returns the family's grids subsampled to per values
+// per dimension when they already hold at least floor designs, and
+// otherwise an in-domain grid linearly spaced over each dimension's
+// [Lo, Hi] at the resolution that reaches floor, so every family is
+// compared over as many designs as the c2bound space at that per.
+func denseFamilySpace(t *testing.T, m model.Model, per, floor int) Space {
+	t.Helper()
+	space, err := SpaceFor(m, per)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if space.Size() >= floor {
+		return space
+	}
+	ms := m.Space()
+	dims := ms.Dims()
+	// k is the per-dimension resolution that reaches the floor.
+	k := int(math.Ceil(math.Pow(float64(floor), 1/float64(dims))))
+	params := make([]Param, dims)
+	for i, p := range ms.Params {
+		n := max(len(p.Grid), k)
+		vals := make([]float64, n)
+		for j := range vals {
+			vals[j] = p.Lo + (p.Hi-p.Lo)*float64(j)/float64(n-1)
+		}
+		params[i] = Param{Name: p.Name, Values: vals}
+	}
+	s, err := NewSpace(params...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Size() < floor {
+		t.Fatalf("%s: dense space has %d designs, want ≥ %d", m.Fingerprint(), s.Size(), floor)
+	}
+	return s
+}
+
 // TestFamilyBatchMatchesScalar is the per-family engine differential:
-// the batched path (compiled kernel, chunked dispatch) must be
-// bit-identical to the scalar per-point path for every family.
+// over at least 4^6 designs per family, the batched path (compiled
+// kernel, chunked dispatch) must be bit-identical to the scalar
+// per-point path, and its first 4096 values to the per-request path
+// (a freshly resolved model and one engine Evaluate call per point, the
+// cost profile of a POST /v1/evaluate).
 func TestFamilyBatchMatchesScalar(t *testing.T) {
+	const per, perRequest = 4, 4096
 	for _, name := range model.Names() {
 		t.Run(name, func(t *testing.T) {
 			m := familyModel(t, name)
-			s, err := SpaceFor(m, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
+			s := denseFamilySpace(t, m, per, per*per*per*per*per*per)
 			points := make([][]float64, s.Size())
 			for i := range points {
 				points[i] = s.Point(i)
@@ -155,9 +193,27 @@ func TestFamilyBatchMatchesScalar(t *testing.T) {
 				return out
 			}
 			batched, scalar := run(NewFamilyEvaluator(m)), run(scalarOnly{NewFamilyEvaluator(m)})
+			finite := 0
 			for i := range batched {
 				if math.Float64bits(batched[i]) != math.Float64bits(scalar[i]) {
 					t.Fatalf("%s point %v: batched=%x scalar=%x", name, points[i], math.Float64bits(batched[i]), math.Float64bits(scalar[i]))
+				}
+				if !math.IsInf(batched[i], 0) && !math.IsNaN(batched[i]) {
+					finite++
+				}
+			}
+			if finite == 0 {
+				t.Fatalf("%s: no feasible design; the comparison is vacuous", name)
+			}
+
+			eng := engine.New(engine.Options{Workers: 4})
+			for i, p := range points[:min(perRequest, len(points))] {
+				v, err := eng.Evaluate(ctx, NewFamilyEvaluator(familyModel(t, name)), p)
+				if err != nil {
+					t.Fatalf("%s per-request point %d: %v", name, i, err)
+				}
+				if math.Float64bits(v) != math.Float64bits(batched[i]) {
+					t.Fatalf("%s point %v: batched=%x per-request=%x", name, p, math.Float64bits(batched[i]), math.Float64bits(v))
 				}
 			}
 		})

@@ -252,7 +252,9 @@ func SweepCtx(ctx context.Context, e CtxEvaluator, s Space, indices []int, opts 
 	if every <= 0 {
 		every = 256
 	}
-	saw := make(map[int]bool, len(pending))
+	// saw is indexed by stream position, not space index, so sweeping a
+	// slice of a huge space costs len(pending), not Size().
+	saw := make([]bool, len(pending))
 	sinceCk := 0
 	var ckErr error
 	save := func() {
@@ -282,12 +284,12 @@ func SweepCtx(ctx context.Context, e CtxEvaluator, s Space, indices []int, opts 
 				// resumed sweep picks it up again.
 				return
 			}
-			saw[idx] = true
+			saw[i] = true
 			failedC.Add(1)
 			rep.Failed = append(rep.Failed, IndexFailure{Index: idx, Attempts: o.Attempts, Err: o.Err.Error()})
 			return
 		}
-		saw[idx] = true
+		saw[i] = true
 		if o.CacheHit || o.Shared {
 			rep.CacheHits++
 			cacheHitC.Add(1)
@@ -302,8 +304,8 @@ func SweepCtx(ctx context.Context, e CtxEvaluator, s Space, indices []int, opts 
 		}
 	})
 	batchSp.Finish()
-	for _, idx := range pending {
-		if !saw[idx] {
+	for i, idx := range pending {
+		if !saw[i] {
 			rep.Pending = append(rep.Pending, idx)
 		}
 	}

@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -137,48 +138,57 @@ func TestEvaluateOverridesChangeTheResult(t *testing.T) {
 	}
 }
 
-// TestBatchCacheSharedAcrossClients is the tentpole acceptance check: two
+// TestBatchCacheSharedAcrossClients is the tentpole acceptance check:
 // distinct HTTP clients batching the same points meet in the shared
-// engine cache, so the second batch is served without re-evaluation.
+// engine cache. One client batches the points cold; then concurrent
+// clients, each on its own connections, batch disjoint chunks of them
+// and every point comes back served without re-evaluation.
 func TestBatchCacheSharedAcrossClients(t *testing.T) {
-	s, ts := newTestServer(t, Options{})
-	points := testPoints(t, 12)
-	req := BatchRequest{Model: ModelSpec{App: "fluidanimate"}, Points: points}
+	const clients = 8
+	s, ts := newTestServer(t, Options{MaxConcurrent: clients})
+	points := testPoints(t, 512)
 
-	runBatch := func(client *http.Client) ([]BatchResult, BatchSummary) {
-		resp := postJSON(t, client, ts.URL+"/v1/evaluate:batch", req)
+	runBatch := func(client *http.Client, pts [][]float64) ([]BatchResult, BatchSummary, error) {
+		var summary BatchSummary
+		data, err := json.Marshal(BatchRequest{Model: ModelSpec{App: "fluidanimate"}, Points: pts})
+		if err != nil {
+			return nil, summary, err
+		}
+		resp, err := client.Post(ts.URL+"/v1/evaluate:batch", "application/json", bytes.NewReader(data))
+		if err != nil {
+			return nil, summary, err
+		}
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status = %d, want 200", resp.StatusCode)
+			return nil, summary, fmt.Errorf("status = %d, want 200", resp.StatusCode)
 		}
 		if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-			t.Fatalf("Content-Type = %q, want application/x-ndjson", ct)
+			return nil, summary, fmt.Errorf("Content-Type = %q, want application/x-ndjson", ct)
 		}
 		var results []BatchResult
-		var summary BatchSummary
 		sc := bufio.NewScanner(resp.Body)
 		for sc.Scan() {
 			line := sc.Bytes()
 			if bytes.Contains(line, []byte(`"done"`)) {
 				if err := json.Unmarshal(line, &summary); err != nil {
-					t.Fatalf("summary line: %v", err)
+					return nil, summary, fmt.Errorf("summary line: %w", err)
 				}
 				continue
 			}
 			var r BatchResult
 			if err := json.Unmarshal(line, &r); err != nil {
-				t.Fatalf("result line: %v", err)
+				return nil, summary, fmt.Errorf("result line: %w", err)
 			}
 			results = append(results, r)
 		}
-		if err := sc.Err(); err != nil {
-			t.Fatalf("reading stream: %v", err)
-		}
-		return results, summary
+		return results, summary, sc.Err()
 	}
 
-	// Client A: cold batch.
-	coldResults, coldSummary := runBatch(ts.Client())
+	// Cold: one client batches every point.
+	coldResults, coldSummary, err := runBatch(ts.Client(), points)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(coldResults) != len(points) {
 		t.Fatalf("cold batch returned %d results, want %d", len(coldResults), len(points))
 	}
@@ -194,27 +204,57 @@ func TestBatchCacheSharedAcrossClients(t *testing.T) {
 		t.Fatalf("cold batch reported zero engine evaluations")
 	}
 
-	// Client B: a separate http.Client (fresh connections), same points.
-	warmResults, warmSummary := runBatch(&http.Client{})
-	if len(warmResults) != len(points) {
-		t.Fatalf("warm batch returned %d results, want %d", len(warmResults), len(points))
+	// Warm: concurrent clients, each a separate http.Client (fresh
+	// connections), batch disjoint chunks of the same points.
+	type chunkRun struct {
+		lo      int
+		results []BatchResult
+		summary BatchSummary
+		err     error
 	}
-	for i, r := range warmResults {
-		if !r.CacheHit {
-			t.Fatalf("warm point %d was not a cache hit", i)
+	runs := make([]chunkRun, clients)
+	hits0 := s.Engine().Stats().CacheHits
+	var wg sync.WaitGroup
+	for c := range runs {
+		lo, hi := c*len(points)/clients, (c+1)*len(points)/clients
+		runs[c].lo = lo
+		wg.Add(1)
+		go func(run *chunkRun, chunk [][]float64) {
+			defer wg.Done()
+			run.results, run.summary, run.err = runBatch(&http.Client{}, chunk)
+		}(&runs[c], points[lo:hi])
+	}
+	wg.Wait()
+	served := 0
+	for c, run := range runs {
+		if run.err != nil {
+			t.Fatalf("warm client %d: %v", c, run.err)
 		}
-		if float64(*r.Value) != float64(*coldResults[i].Value) {
-			t.Fatalf("warm value %v != cold value %v at %d", *r.Value, *coldResults[i].Value, i)
+		if run.summary.Errors != 0 {
+			t.Fatalf("warm client %d: %d points failed", c, run.summary.Errors)
 		}
+		if run.summary.CacheHits != len(run.results) {
+			t.Fatalf("warm client %d: summary counts %d cache hits for %d results", c, run.summary.CacheHits, len(run.results))
+		}
+		if run.summary.Engine.Evaluations != 0 {
+			t.Fatalf("warm client %d re-evaluated %d points", c, run.summary.Engine.Evaluations)
+		}
+		for j, r := range run.results {
+			i := run.lo + j
+			if r.Index != j || r.Error != nil || !r.CacheHit {
+				t.Fatalf("warm point %d (client %d line %d): %+v, want a cache hit at index %d", i, c, j, r, j)
+			}
+			if float64(*r.Value) != float64(*coldResults[i].Value) {
+				t.Fatalf("warm value %v != cold value %v at %d", *r.Value, *coldResults[i].Value, i)
+			}
+		}
+		served += len(run.results)
 	}
-	if warmSummary.CacheHits != len(points) {
-		t.Fatalf("warm summary counts %d cache hits, want %d", warmSummary.CacheHits, len(points))
+	if served != len(points) {
+		t.Fatalf("warm clients got %d results back, want %d", served, len(points))
 	}
-	if warmSummary.Engine.Evaluations != 0 {
-		t.Fatalf("warm batch re-evaluated %d points", warmSummary.Engine.Evaluations)
-	}
-	if got := s.Engine().Stats().CacheHits; got < uint64(len(points)) {
-		t.Fatalf("engine recorded %d cache hits, want ≥ %d", got, len(points))
+	if got := s.Engine().Stats().CacheHits - hits0; got < uint64(len(points)) {
+		t.Fatalf("engine recorded %d warm cache hits, want ≥ %d", got, len(points))
 	}
 }
 
