@@ -220,7 +220,7 @@ type (
 
 // Evaluation engine: the shared memoizing, metered evaluation service.
 type (
-	// Engine owns the worker pool, the LRU memo cache, in-flight
+	// Engine owns the worker pool, the memo cache, in-flight
 	// deduplication and the retry/panic-isolation machinery. One engine
 	// can serve the analytic optimizer, DSE sweeps and APS concurrently;
 	// OptimizeOptions.Engine, SweepOptions.Engine and APSOptions.Engine

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -75,10 +76,9 @@ func TestRunCtxCancelledBeforeSweep(t *testing.T) {
 func TestRunCtxCancelMidSweepReturnsPartialReport(t *testing.T) {
 	m, space, inner := testSetup(t, 4)
 	ctx, cancel := context.WithCancel(context.Background())
-	calls := 0
+	var calls atomic.Int64 // the shared engine may run several workers
 	eval := robust.EvaluatorFunc(func(c context.Context, p []float64) (float64, error) {
-		calls++
-		if calls > 4 {
+		if calls.Add(1) > 4 {
 			cancel()
 		}
 		return inner.EvaluateCtx(c, p)

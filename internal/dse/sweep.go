@@ -212,14 +212,45 @@ func SweepCtx(ctx context.Context, e CtxEvaluator, s Space, indices []int, opts 
 		}
 	}
 
-	pending := make([]int, 0, len(indices))
-	for _, idx := range indices {
+	// state holds each requested position's outcome, so the report's
+	// index lists are read off it in one pass in request order, and
+	// Completed needs a sort only when the request was not ascending.
+	const (
+		posPending uint8 = iota
+		posDone
+		posFailed
+	)
+	state := make([]uint8, len(indices))
+	ascending := sort.IntsAreSorted(indices)
+	nDone := 0
+	pending := make([]int, 0, len(indices)) // positions in indices
+	for pos, idx := range indices {
 		if done[idx] {
-			rep.Completed = append(rep.Completed, idx)
+			state[pos] = posDone
+			nDone++
 			rep.Resumed++
 		} else {
-			pending = append(pending, idx)
+			pending = append(pending, pos)
 		}
+	}
+	// lists reads the completed indices (sorted) and, when asked, the
+	// pending ones (in request order) off state.
+	lists := func(withPending bool) (completed, pendingIdx []int) {
+		if nDone > 0 {
+			completed = make([]int, 0, nDone)
+		}
+		for pos, st := range state {
+			switch {
+			case st == posDone:
+				completed = append(completed, indices[pos])
+			case st == posPending && withPending:
+				pendingIdx = append(pendingIdx, indices[pos])
+			}
+		}
+		if !ascending {
+			sort.Ints(completed)
+		}
+		return completed, pendingIdx
 	}
 
 	eng := opts.Engine
@@ -242,9 +273,9 @@ func SweepCtx(ctx context.Context, e CtxEvaluator, s Space, indices []int, opts 
 	dims := s.Dims()
 	slab := make([]float64, 0, len(pending)*dims)
 	points := make([][]float64, len(pending))
-	for i, idx := range pending {
+	for i, pos := range pending {
 		lo := len(slab)
-		slab = s.AppendPoint(slab, idx)
+		slab = s.AppendPoint(slab, indices[pos])
 		points[i] = slab[lo:len(slab):len(slab)]
 	}
 
@@ -252,17 +283,15 @@ func SweepCtx(ctx context.Context, e CtxEvaluator, s Space, indices []int, opts 
 	if every <= 0 {
 		every = 256
 	}
-	// saw is indexed by stream position, not space index, so sweeping a
-	// slice of a huge space costs len(pending), not Size().
-	saw := make([]bool, len(pending))
 	sinceCk := 0
 	var ckErr error
 	save := func() {
 		if opts.CheckpointPath == "" || ckErr != nil {
 			return
 		}
-		_, ckSp := tr.Start(ctx, "dse.checkpoint", obs.I("completed", int64(len(rep.Completed))))
-		ckErr = SaveCheckpoint(opts.CheckpointPath, s, values, rep.Completed)
+		completed, _ := lists(false)
+		_, ckSp := tr.Start(ctx, "dse.checkpoint", obs.I("completed", int64(nDone)))
+		ckErr = SaveCheckpoint(opts.CheckpointPath, s, values, completed)
 		if ckErr == nil {
 			checkpointC.Add(1)
 		} else {
@@ -274,7 +303,8 @@ func SweepCtx(ctx context.Context, e CtxEvaluator, s Space, indices []int, opts 
 	// report and values need no locking.
 	batchCtx, batchSp := tr.Start(ctx, "dse.batch", obs.I("points", int64(len(pending))))
 	_ = eng.EvaluateStream(batchCtx, e, points, func(i int, o engine.Outcome) {
-		idx := pending[i]
+		pos := pending[i]
+		idx := indices[pos]
 		if o.Attempts > 1 {
 			rep.Retries += o.Attempts - 1
 		}
@@ -284,19 +314,19 @@ func SweepCtx(ctx context.Context, e CtxEvaluator, s Space, indices []int, opts 
 				// resumed sweep picks it up again.
 				return
 			}
-			saw[i] = true
+			state[pos] = posFailed
 			failedC.Add(1)
 			rep.Failed = append(rep.Failed, IndexFailure{Index: idx, Attempts: o.Attempts, Err: o.Err.Error()})
 			return
 		}
-		saw[i] = true
+		state[pos] = posDone
+		nDone++
 		if o.CacheHit || o.Shared {
 			rep.CacheHits++
 			cacheHitC.Add(1)
 		}
 		completedC.Add(1)
 		values[idx] = o.Value
-		rep.Completed = append(rep.Completed, idx)
 		sinceCk++
 		if sinceCk >= every {
 			sinceCk = 0
@@ -304,12 +334,7 @@ func SweepCtx(ctx context.Context, e CtxEvaluator, s Space, indices []int, opts 
 		}
 	})
 	batchSp.Finish()
-	for i, idx := range pending {
-		if !saw[i] {
-			rep.Pending = append(rep.Pending, idx)
-		}
-	}
-	sort.Ints(rep.Completed)
+	rep.Completed, rep.Pending = lists(true)
 	sort.Slice(rep.Failed, func(i, j int) bool { return rep.Failed[i].Index < rep.Failed[j].Index })
 	save()
 	if ckErr != nil {

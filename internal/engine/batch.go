@@ -103,12 +103,13 @@ func (e *Engine) doChunk(ctx context.Context, ev robust.Evaluator, be BatchEvalu
 	for i, p := range pts {
 		hashes[i] = hashPoint(key.seed, p)
 	}
-	// callSlab backs every in-flight registration of this chunk and done
-	// is their shared completion signal (the whole chunk publishes at
-	// once), so registration costs no per-point allocation.
-	callSlab := make([]call, len(pts))
-	var done chan struct{}
 	var (
+		// callSlab backs every in-flight registration of this chunk and
+		// done is their shared completion signal (the whole chunk
+		// publishes at once), so registration costs no per-point
+		// allocation. Both are made on the first registration.
+		callSlab   []call
+		done       chan struct{}
 		miss       []int // chunk indices this call evaluates
 		missPts    [][]float64
 		missHashes []uint64
@@ -117,8 +118,23 @@ func (e *Engine) doChunk(ctx context.Context, ev robust.Evaluator, be BatchEvalu
 		deferred   []int   // chunk indices owned by another in-flight call
 		hits       uint64
 	)
+	// addMiss records chunk index i as evaluated by this call. The miss
+	// slices are sized for the rest of the chunk on the first miss, so a
+	// cold chunk never regrows them and a warm one allocates none.
+	addMiss := func(i int, c *call) {
+		if miss == nil {
+			rest := len(pts) - i
+			miss, missPts = make([]int, 0, rest), make([][]float64, 0, rest)
+			missHashes, calls = make([]uint64, 0, rest), make([]*call, 0, rest)
+		}
+		miss = append(miss, i)
+		missPts = append(missPts, pts[i])
+		missHashes = append(missHashes, hashes[i])
+		calls = append(calls, c)
+	}
 	e.mu.Lock()
 	fpID := e.internLocked(key.fp)
+	e.cache.prefetch(hashes)
 	for i, p := range pts {
 		if v, ok := e.cache.get(hashes[i], fpID, p); ok {
 			outs[i] = Outcome{Value: v, CacheHit: true}
@@ -132,26 +148,20 @@ func (e *Engine) doChunk(ctx context.Context, ev robust.Evaluator, be BatchEvalu
 			}
 			// Hash collision with a different in-flight key: evaluate in
 			// this batch but stay out of the memo and dedup tables.
-			miss = append(miss, i)
-			missPts = append(missPts, p)
-			missHashes = append(missHashes, hashes[i])
-			calls = append(calls, nil)
+			addMiss(i, nil)
 			if collided == nil {
 				collided = make([]bool, len(pts))
 			}
 			collided[len(calls)-1] = true
 			continue
 		}
-		if done == nil {
-			done = make(chan struct{})
+		if callSlab == nil {
+			callSlab, done = make([]call, len(pts)), make(chan struct{})
 		}
 		c := &callSlab[i]
 		*c = call{fpID: fpID, point: p, done: done}
 		e.inflight[hashes[i]] = c
-		miss = append(miss, i)
-		missPts = append(missPts, p)
-		missHashes = append(missHashes, hashes[i])
-		calls = append(calls, c)
+		addMiss(i, c)
 	}
 	e.mu.Unlock()
 

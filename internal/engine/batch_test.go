@@ -296,3 +296,35 @@ func BenchmarkBatchStream(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkColdInsertEvict streams four times the default cache
+// capacity of distinct six-coordinate points through EvaluateBatch, so
+// after the first quarter every point is a miss whose insert evicts: the
+// memo table's cold path (probe, in-flight registration, insert, evict)
+// at the paper sweep's scale, where the table outgrows the core's caches.
+func BenchmarkColdInsertEvict(b *testing.B) {
+	const capacity = DefaultCacheSize
+	e := New(Options{Workers: 2})
+	slab := make([]float64, 0, 4*capacity*6)
+	pts := make([][]float64, 4*capacity)
+	for i := range pts {
+		lo := len(slab)
+		slab = append(slab, float64(i), float64(i%7), float64(i%13), 1, 2, 3)
+		pts[i] = slab[lo:len(slab):len(slab)]
+	}
+	q := &quadEval{}
+	ctx := context.Background()
+	out := make([]float64, len(pts))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := e.EvaluateBatch(ctx, q, pts, out); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if st := e.Stats(); st.CacheHits != 0 {
+		b.Fatalf("cold stream hit the cache %d times", st.CacheHits)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pts)), "ns/point")
+}

@@ -6,7 +6,8 @@
 //   - the worker pool (a global concurrency bound shared by every batch
 //     submitted to the engine, so two concurrent sweeps cannot
 //     oversubscribe the machine),
-//   - an LRU memoization cache keyed on a precomputed 64-bit hash of the
+//   - a memoization cache (a flat open-addressed table with CLOCK
+//     eviction) keyed on a precomputed 64-bit hash of the
 //     (evaluator fingerprint, design point) pair — collision-checked
 //     against the entry's exact identity, so a hash collision is a miss,
 //     never a wrong value — so overlapping
@@ -118,8 +119,10 @@ type Options struct {
 }
 
 // DefaultCacheSize is the memoization capacity when Options.CacheSize is
-// zero. An entry costs ~130 bytes (hash, identity point copy, value,
-// list links), so the default stays well under 100 MB even when full.
+// zero. A full table costs 96 bytes per entry of six coordinates (a
+// 32-byte entry, 48 bytes of coordinates and 16 of index), ~25 MB at the
+// default; the table grows with occupancy, so an engine that never fills
+// it pays less.
 const DefaultCacheSize = 1 << 18
 
 // Outcome is the full result of one evaluation request.

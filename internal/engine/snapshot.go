@@ -16,7 +16,7 @@ import (
 //	magic      [8]byte  "C2BSNAP" + version byte
 //	fpCount    uint32   interned fingerprint strings, in first-use order
 //	fpCount ×  { len uint32, bytes }
-//	entries    uint32   cache entries, LRU → MRU (recency survives restore)
+//	entries    uint32   cache entries, coldest → hottest (recency survives restore)
 //	entries ×  { fpIdx uint32, dims uint32, dims × uint64 point bits, uint64 value bits }
 //	trailer    uint64   FNV-1a over every preceding byte
 //
@@ -27,6 +27,12 @@ import (
 // directory fsync. The load path verifies the checksum
 // and fully parses the blob before touching the cache, so a truncated or
 // corrupt file is a clean error, never a partial restore.
+//
+// Coldest → hottest is the order the table's CLOCK hand would evict in:
+// the entries whose reference bit is clear, from the hand onward, then
+// those whose bit is set, from the hand onward. A restore installs them
+// in file order with clear bits, so saving the restored cache writes
+// the same order, and a restore into a smaller cache keeps the hottest.
 
 // snapshotMagic identifies a version-2 snapshot file. Version 2 marks
 // the c2bound objective's move to its family fingerprint
@@ -71,39 +77,41 @@ func (e *Engine) encodeSnapshot() ([]byte, int, error) {
 	}
 	var fpOrder []string
 	fpIdx := make(map[uint32]uint32)
-	var entries []*lruEntry
-	for le := e.cache.root.prev; le != &e.cache.root; le = le.prev {
-		if _, ok := fpIdx[le.fpID]; !ok {
-			fpIdx[le.fpID] = uint32(len(fpOrder))
-			fpOrder = append(fpOrder, fpByID[le.fpID])
+	var body []byte
+	n := 0
+	e.cache.walk(func(me *memoEntry, point []float64) {
+		idx, ok := fpIdx[me.fpID]
+		if !ok {
+			idx = uint32(len(fpOrder))
+			fpIdx[me.fpID] = idx
+			fpOrder = append(fpOrder, fpByID[me.fpID])
 		}
-		entries = append(entries, le)
-	}
-	buf := make([]byte, 0, 16+len(entries)*64)
+		body = binary.LittleEndian.AppendUint32(body, idx)
+		body = binary.LittleEndian.AppendUint32(body, uint32(len(point)))
+		for _, v := range point {
+			body = binary.LittleEndian.AppendUint64(body, math.Float64bits(v))
+		}
+		body = binary.LittleEndian.AppendUint64(body, math.Float64bits(me.val))
+		n++
+	})
+	buf := make([]byte, 0, 24+len(body))
 	buf = append(buf, snapshotMagic[:]...)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(fpOrder)))
 	for _, fp := range fpOrder {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(fp)))
 		buf = append(buf, fp...)
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(entries)))
-	for _, le := range entries {
-		buf = binary.LittleEndian.AppendUint32(buf, fpIdx[le.fpID])
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(le.point)))
-		for _, v := range le.point {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-		}
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(le.val))
-	}
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
+	buf = append(buf, body...)
 	buf = binary.LittleEndian.AppendUint64(buf, fnvSum(buf))
-	return buf, len(entries), nil
+	return buf, n, nil
 }
 
 // LoadSnapshot restores a snapshot into the cache, returning the number
 // of entries installed. The blob is checksummed and fully parsed before
 // the first insert: a truncated, corrupt or version-mismatched file
-// leaves the cache exactly as it was. Entries are installed LRU → MRU
-// with freshly interned fingerprints and recomputed hashes, so a
+// leaves the cache exactly as it was. Entries are installed coldest →
+// hottest with freshly interned fingerprints and recomputed hashes, so a
 // restored cache behaves identically to one that was never saved
 // (snapshots from larger caches simply evict from the cold end).
 func (e *Engine) LoadSnapshot(path string) (int, error) {

@@ -84,7 +84,7 @@ type Stats struct {
 	// Failures counts requests whose final outcome was an error (context
 	// cancellations excluded).
 	Failures uint64 `json:"failures"`
-	// Evictions counts cache entries displaced by the LRU policy.
+	// Evictions counts cache entries displaced by the CLOCK policy.
 	Evictions uint64 `json:"evictions"`
 	// CacheEntries is the live number of memoized values.
 	CacheEntries int `json:"cache_entries"`

@@ -228,10 +228,13 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	s.jobs.mu.Lock()
 	s.jobs.entries[id] = e
 	s.jobs.mu.Unlock()
+	// Snapshot before the runner starts, or the 202 can report a job
+	// already running.
+	accepted := e.snapshot()
 	go s.jobs.run(e)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusAccepted)
-	_ = json.NewEncoder(w).Encode(e.snapshot())
+	_ = json.NewEncoder(w).Encode(accepted)
 }
 
 // handleJobList lists the requesting tenant's jobs, oldest first.
