@@ -101,6 +101,7 @@ fuzz-short:
 	$(GO) test -run XXX -fuzz FuzzResolveRequests -fuzztime 10s ./internal/server
 	$(GO) test -run XXX -fuzz FuzzSnapshotLoad -fuzztime 10s ./internal/engine
 	$(GO) test -run XXX -fuzz FuzzLoadCheckpoint -fuzztime 10s ./internal/dse
+	$(GO) test -run XXX -fuzz FuzzDecodePeerEval -fuzztime 10s ./internal/cluster
 
 clean:
 	$(GO) clean ./...

@@ -193,9 +193,9 @@ func clusterRunOnce(tmp, bin string, space dse.Space, per, n, cachePer int) (run
 	run.WarmSeconds = time.Since(warmStart).Seconds()
 	run.WarmHitRate = float64(warmRep.CacheHits) / float64(warmRep.Total)
 
-	// A warm batch pass exercises the point-routing path (peer-eval
+	// A warm batch pass exercises the same routing path (peer-eval
 	// exchanges) over space points the owners now hold, isolating the
-	// remote-hit story from the sweep partitioner.
+	// remote-hit story from the sweep's own bookkeeping.
 	batchN := space.Size()
 	if batchN > 1024 {
 		batchN = 1024

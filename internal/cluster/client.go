@@ -130,7 +130,7 @@ func (c *Cluster) EvalOnPeer(ctx context.Context, peerName string, req PeerEvalR
 		return nil, fmt.Errorf("cluster: encoding peer-eval request: %w", err)
 	}
 	var outs []PeerOutcome
-	err = c.exchange(ctx, p, "cluster.peer_eval", "/internal/v1/peer-eval", body, func(resp io.Reader) error {
+	err = c.exchange(ctx, p, body, func(resp io.Reader) error {
 		got, err := decodePeerEval(resp, len(req.Points))
 		if err != nil {
 			return err
@@ -149,42 +149,15 @@ func (c *Cluster) EvalOnPeer(ctx context.Context, peerName string, req PeerEvalR
 	return outs, nil
 }
 
-// StreamFromPeer POSTs body to path on a peer and hands each NDJSON
-// response line to onLine as it arrives (the cluster-partitioned sweep
-// consumes sub-sweep progress frames this way). The protocol lives with
-// the caller; this method owns transport, breaker, retry and metrics.
-// Lines already consumed before a mid-stream failure are not replayed:
-// the whole exchange is retried from the start, and onLine sees the
-// attempt boundary as a call with nil line.
-func (c *Cluster) StreamFromPeer(ctx context.Context, peerName, path string, body []byte, onLine func(line []byte) error) error {
-	p := c.peer(peerName)
-	if p == nil {
-		return fmt.Errorf("cluster: unknown peer %q", peerName)
-	}
-	return c.exchange(ctx, p, "cluster.peer_sweep", path, body, func(resp io.Reader) error {
-		if err := onLine(nil); err != nil {
-			return err
-		}
-		sc := bufio.NewScanner(resp)
-		sc.Buffer(make([]byte, 0, 64*1024), 64<<20)
-		for sc.Scan() {
-			if err := onLine(sc.Bytes()); err != nil {
-				return err
-			}
-		}
-		return sc.Err()
-	})
-}
-
-// exchange performs one breaker-guarded, retried POST to a peer and
-// feeds the response body to consume. A consume error counts as an
-// exchange failure (the response was unusable).
-func (c *Cluster) exchange(ctx context.Context, p *peerState, span, path string, body []byte, consume func(io.Reader) error) error {
-	ctx, sp := c.tracer.Start(ctx, span, obs.S("peer", p.name))
+// exchange performs one breaker-guarded, retried peer-eval POST to a
+// peer and feeds the response body to consume. A consume error counts
+// as an exchange failure (the response was unusable).
+func (c *Cluster) exchange(ctx context.Context, p *peerState, body []byte, consume func(io.Reader) error) error {
+	ctx, sp := c.tracer.Start(ctx, "cluster.peer_eval", obs.S("peer", p.name))
 	start := time.Now()
 	var rng *robust.RNG
 	_, err := c.retry.Do(ctx, rng, func(ctx context.Context) error {
-		return c.once(ctx, p, path, body, consume)
+		return c.once(ctx, p, body, consume)
 	})
 	c.seconds.Observe(time.Since(start).Seconds())
 	if sp != nil {
@@ -197,7 +170,7 @@ func (c *Cluster) exchange(ctx context.Context, p *peerState, span, path string,
 }
 
 // once is a single breaker-accounted attempt.
-func (c *Cluster) once(ctx context.Context, p *peerState, path string, body []byte, consume func(io.Reader) error) error {
+func (c *Cluster) once(ctx context.Context, p *peerState, body []byte, consume func(io.Reader) error) error {
 	if !p.allow(time.Now()) {
 		// Breaker rejections are not failures: they don't extend the
 		// streak, and they short-circuit the retry loop's later attempts
@@ -205,7 +178,7 @@ func (c *Cluster) once(ctx context.Context, p *peerState, path string, body []by
 		return errPeerOpen
 	}
 	c.reqs.Add(1)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, p.baseURL()+path, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, p.baseURL()+"/internal/v1/peer-eval", bytes.NewReader(body))
 	if err != nil {
 		return fmt.Errorf("cluster: peer %s: %w", p.name, err)
 	}
@@ -234,6 +207,13 @@ func (c *Cluster) once(ctx context.Context, p *peerState, path string, body []by
 	return nil
 }
 
+// peerEvalLine decodes either kind of peer-eval response line: a
+// result carries an index (-1 when absent), the summary a done flag.
+type peerEvalLine struct {
+	PeerEvalResult
+	Done *bool `json:"done"`
+}
+
 // decodePeerEval parses a peer-eval NDJSON response into n outcomes,
 // requiring every index exactly once plus the final summary line — a
 // short response (peer died mid-stream) is an exchange failure, so the
@@ -253,35 +233,23 @@ func decodePeerEval(r io.Reader, n int) ([]PeerOutcome, error) {
 		if sawSummary {
 			return nil, fmt.Errorf("cluster: data after peer-eval summary line")
 		}
-		if bytes.Contains(line, []byte(`"done"`)) {
-			var sum PeerEvalSummary
-			if err := json.Unmarshal(line, &sum); err != nil {
-				return nil, fmt.Errorf("cluster: peer-eval summary: %w", err)
-			}
-			sawSummary = sum.Done
-			continue
-		}
-		var res PeerEvalResult
-		if err := json.Unmarshal(line, &res); err != nil {
-			return nil, fmt.Errorf("cluster: peer-eval line: %w", err)
-		}
-		if res.Index < 0 || res.Index >= n {
-			return nil, fmt.Errorf("cluster: peer-eval index %d outside batch of %d", res.Index, n)
-		}
-		if filled[res.Index] {
-			return nil, fmt.Errorf("cluster: duplicate peer-eval index %d", res.Index)
-		}
-		filled[res.Index] = true
-		got++
-		if res.Error != "" {
-			outs[res.Index] = PeerOutcome{Value: math.NaN(), Err: fmt.Errorf("cluster: peer evaluation: %s", res.Error)}
-			continue
-		}
-		v, err := ParseBits(res.Bits)
+		index, out, summary, err := decodeLine(line)
 		if err != nil {
 			return nil, err
 		}
-		outs[res.Index] = PeerOutcome{Value: v, CacheHit: res.CacheHit}
+		if summary {
+			sawSummary = true
+			continue
+		}
+		if index < 0 || index >= n {
+			return nil, fmt.Errorf("cluster: peer-eval index %d outside batch of %d", index, n)
+		}
+		if filled[index] {
+			return nil, fmt.Errorf("cluster: duplicate peer-eval index %d", index)
+		}
+		filled[index] = true
+		got++
+		outs[index] = out
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
@@ -290,6 +258,73 @@ func decodePeerEval(r io.Reader, n int) ([]PeerOutcome, error) {
 		return nil, fmt.Errorf("cluster: short peer-eval response (%d of %d points, summary=%v)", got, n, sawSummary)
 	}
 	return outs, nil
+}
+
+// decodeLine reads one non-blank response line: a result's index and
+// outcome, or the summary.
+func decodeLine(line []byte) (index int, out PeerOutcome, summary bool, err error) {
+	if index, bits, hit, ok := parseResultLine(line); ok {
+		return index, PeerOutcome{Value: math.Float64frombits(bits), CacheHit: hit}, false, nil
+	}
+	l := peerEvalLine{PeerEvalResult: PeerEvalResult{Index: -1}}
+	if err := json.Unmarshal(line, &l); err != nil {
+		return 0, out, false, fmt.Errorf("cluster: peer-eval line: %w", err)
+	}
+	if l.Done != nil {
+		if !*l.Done || l.Index != -1 {
+			return 0, out, false, fmt.Errorf("cluster: malformed peer-eval summary %.64q", line)
+		}
+		return 0, out, true, nil
+	}
+	if l.Error != "" {
+		return l.Index, PeerOutcome{Value: math.NaN(), Err: fmt.Errorf("cluster: peer evaluation: %s", l.Error)}, false, nil
+	}
+	v, err := ParseBits(l.Bits)
+	if err != nil {
+		return 0, out, false, err
+	}
+	return l.Index, PeerOutcome{Value: v, CacheHit: l.CacheHit}, false, nil
+}
+
+// parseResultLine reads a result line in exactly the bytes
+// AppendPeerEvalResult writes for a value,
+// {"index":N,"bits":"<16 lowercase hex digits>"} with an optional
+// ,"cache_hit":true before the brace, without encoding/json's
+// reflection. ok is false for any other line, which decodeLine then
+// reads with encoding/json; the two agree on every line this accepts.
+func parseResultLine(line []byte) (index int, bits uint64, cacheHit, ok bool) {
+	rest, found := bytes.CutPrefix(line, []byte(`{"index":`))
+	if !found {
+		return 0, 0, false, false
+	}
+	n := 0
+	for ; n < len(rest) && n < 10 && '0' <= rest[n] && rest[n] <= '9'; n++ {
+		index = index*10 + int(rest[n]-'0')
+	}
+	if n == 0 || n == 10 || (n > 1 && rest[0] == '0') {
+		return 0, 0, false, false // no digits, too many, or a leading zero JSON forbids
+	}
+	rest, found = bytes.CutPrefix(rest[n:], []byte(`,"bits":"`))
+	if !found || len(rest) < 17 || rest[16] != '"' {
+		return 0, 0, false, false
+	}
+	for _, c := range rest[:16] {
+		switch {
+		case '0' <= c && c <= '9':
+			bits = bits<<4 | uint64(c-'0')
+		case 'a' <= c && c <= 'f':
+			bits = bits<<4 | uint64(c-'a'+10)
+		default:
+			return 0, 0, false, false
+		}
+	}
+	switch string(rest[17:]) {
+	case "}":
+		return index, bits, false, true
+	case `,"cache_hit":true}`:
+		return index, bits, true, true
+	}
+	return 0, 0, false, false
 }
 
 // CountLocal/CountRemote/CountFallback feed the remote-vs-local routing

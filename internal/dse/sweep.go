@@ -61,13 +61,22 @@ func WithContext(e Evaluator) CtxEvaluator {
 	})
 }
 
+// Streamer is the one engine method a sweep calls. *engine.Engine
+// implements it; so does anything that routes the points elsewhere and
+// keeps EvaluateStream's contract: yield calls are serialized, and a
+// point that was never started produces no call.
+type Streamer interface {
+	EvaluateStream(ctx context.Context, ev CtxEvaluator, points [][]float64, yield func(i int, o engine.Outcome)) error
+}
+
 // SweepOptions tunes the resilient sweep.
 type SweepOptions struct {
 	// Engine routes every evaluation through a shared memoizing engine.
 	// When set, the engine's worker bound and retry policy win over the
 	// Workers and Retry fields below, and results already memoized by
-	// earlier work on the same engine are served from its cache.
-	Engine *engine.Engine
+	// earlier work on the same engine are served from its cache. Leave it
+	// nil, not a nil *engine.Engine, to sweep on an ephemeral engine.
+	Engine Streamer
 	// Workers bounds parallelism (≤0: GOMAXPROCS). Ignored when Engine is
 	// set.
 	Workers int
@@ -138,10 +147,13 @@ type SweepReport struct {
 // across sweeps. It returns a dense slice indexed by flat index (NaN for
 // unevaluated entries), the structured report, and the context's error
 // when the sweep was cut short. The values slice is valid in every case.
-func SweepCtx(ctx context.Context, e CtxEvaluator, s Space, indices []int, opts SweepOptions) ([]float64, SweepReport, error) {
+func SweepCtx(ctx context.Context, e CtxEvaluator, s Space, indices []int, opts SweepOptions) (values []float64, rep SweepReport, err error) {
 	start := time.Now() //lint:allow detguard wall time feeds SweepReport.Wall (reporting metadata), never the swept values
+	defer func() {
+		rep.WallTime = time.Since(start) //lint:allow detguard WallTime is SweepReport metadata, never a swept value
+	}()
 	size := s.Size()
-	values := make([]float64, size)
+	values = make([]float64, size)
 	for i := range values {
 		values[i] = math.NaN()
 	}
@@ -151,7 +163,7 @@ func SweepCtx(ctx context.Context, e CtxEvaluator, s Space, indices []int, opts 
 			indices[i] = i
 		}
 	}
-	rep := SweepReport{Total: len(indices)}
+	rep = SweepReport{Total: len(indices)}
 
 	// Observability rides in on the context: the sweep span wraps the
 	// whole call, and the ephemeral engine (below) inherits the same
@@ -191,13 +203,11 @@ func SweepCtx(ctx context.Context, e CtxEvaluator, s Space, indices []int, opts 
 		case err != nil:
 			resumeSp.Annotate(obs.S("error", err.Error()))
 			resumeSp.Finish()
-			rep.WallTime = time.Since(start) //lint:allow detguard WallTime is SweepReport metadata, never a swept value
 			return values, rep, fmt.Errorf("dse: resume: %w", err)
 		default:
 			if ck.Signature != s.Signature() {
 				resumeSp.Annotate(obs.S("error", "signature mismatch"))
 				resumeSp.Finish()
-				rep.WallTime = time.Since(start) //lint:allow detguard WallTime is SweepReport metadata, never a swept value
 				return values, rep, fmt.Errorf("dse: resume: checkpoint %q belongs to a different space (signature %s, want %s)",
 					opts.CheckpointPath, ck.Signature, s.Signature())
 			}
@@ -299,8 +309,8 @@ func SweepCtx(ctx context.Context, e CtxEvaluator, s Space, indices []int, opts 
 		}
 		ckSp.Finish()
 	}
-	// yield runs on EvaluateStream's single collector goroutine, so the
-	// report and values need no locking.
+	// The Streamer serializes yield, so the report and values need no
+	// locking.
 	batchCtx, batchSp := tr.Start(ctx, "dse.batch", obs.I("points", int64(len(pending))))
 	_ = eng.EvaluateStream(batchCtx, e, points, func(i int, o engine.Outcome) {
 		pos := pending[i]
@@ -338,10 +348,8 @@ func SweepCtx(ctx context.Context, e CtxEvaluator, s Space, indices []int, opts 
 	sort.Slice(rep.Failed, func(i, j int) bool { return rep.Failed[i].Index < rep.Failed[j].Index })
 	save()
 	if ckErr != nil {
-		rep.WallTime = time.Since(start) //lint:allow detguard WallTime is SweepReport metadata, never a swept value
 		return values, rep, fmt.Errorf("dse: checkpoint: %w", ckErr)
 	}
 	rep.Canceled = ctx.Err() != nil
-	rep.WallTime = time.Since(start) //lint:allow detguard WallTime is SweepReport metadata, never a swept value
 	return values, rep, ctx.Err()
 }

@@ -3,98 +3,23 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
-	"math"
 	"net/http"
-	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/cluster"
 	"repro/internal/dse"
 	"repro/internal/engine"
-	"repro/internal/obs"
 )
 
 // This file is the server half of the cluster tier (DESIGN.md §15): the
-// peer endpoints a remote coordinator calls, and the routing that turns
+// peer endpoint a remote coordinator calls, and the routing that turns
 // a local request into ring-partitioned local + remote work. The
 // invariant throughout is graceful-and-never-wrong: any peer failure —
 // breaker open, connection refused, short response, mid-sweep death —
 // falls back to computing the affected points on the local engine,
 // which is bit-identical because every family kernel is deterministic.
 // The cluster can lose cache locality, never correctness.
-
-// peerWork wraps an internal peer endpoint: drain rejection, admission
-// under the anonymous identity, the per-request deadline, observability
-// and panic isolation — but no tenant lookup, because intra-cluster
-// traffic carries no API key (the peer endpoints are private-network
-// internal, reachable only on the peer listen addresses; see DESIGN.md
-// §15). Admission still takes a slot so forwarded work cannot
-// oversubscribe a peer past its own gate.
-func (s *Server) peerWork(span string, h func(http.ResponseWriter, *http.Request)) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if s.draining.Load() {
-			s.errors.Add(1)
-			s.obsErrors.Add(1)
-			writeErrorBody(w, http.StatusServiceUnavailable,
-				ErrorBody{Code: CodeUnavailable, Message: "server is draining"})
-			return
-		}
-		t := s.tenants.anonymous()
-		release, err := s.adm.acquire(r.Context(), t)
-		if err != nil {
-			if err == errSaturated {
-				s.shedTenant(w, t, retryAfterSeconds(s.opts.RetryAfter),
-					ErrorBody{Code: CodeOverloaded, Message: "admission queue full; retry later"})
-				return
-			}
-			s.errors.Add(1)
-			s.obsErrors.Add(1)
-			writeError(w, err)
-			return
-		}
-		defer release()
-		s.admitted.Add(1)
-		s.obsAdmitted.Add(1)
-		s.inflight.Add(1)
-		defer s.inflight.Done()
-		s.obsInflight.Add(1)
-		defer s.obsInflight.Add(-1)
-
-		timeout, err := s.requestTimeout(r)
-		if err != nil {
-			s.errors.Add(1)
-			s.obsErrors.Add(1)
-			writeErrorBody(w, http.StatusBadRequest, ErrorBody{Code: CodeBadRequest, Message: err.Error()})
-			return
-		}
-		ctx, cancel := context.WithTimeout(r.Context(), timeout)
-		defer cancel()
-		id := s.registerCancel(cancel)
-		defer s.unregisterCancel(id)
-		ctx = contextWithTenant(ctx, t)
-		ctx = obs.ContextWithTracer(ctx, s.tracer)
-		ctx = obs.ContextWithMetrics(ctx, s.metrics)
-		ctx, sp := s.tracer.Start(ctx, span)
-		defer func() {
-			if rec := recover(); rec != nil {
-				s.panics.Add(1)
-				s.obsPanics.Add(1)
-				s.errors.Add(1)
-				s.obsErrors.Add(1)
-				if sp != nil {
-					sp.Annotate(obs.S("panic", "true"))
-					sp.Finish()
-				}
-				writeErrorBody(w, http.StatusInternalServerError,
-					ErrorBody{Code: CodeInternal, Message: "internal server error"})
-				return
-			}
-			sp.Finish()
-		}()
-		h(w, r.WithContext(ctx))
-	})
-}
 
 // --- request routing --------------------------------------------------
 
@@ -135,19 +60,45 @@ func subsetPoints(points [][]float64, idx []int) [][]float64 {
 	return out
 }
 
-// streamRouted is EvaluateStream through the cluster tier: locally
-// owned points run on the shared engine, remote-owned groups travel to
-// their owner's peer-eval endpoint (so the owner's cache serves or
-// learns them), and any peer failure recomputes that group locally.
-// yield is serialized but may be called from several goroutines' turns;
-// with no cluster (or an uncacheable evaluator, which has no ring key)
-// the call degrades to plain EvaluateStream.
-func (s *Server) streamRouted(ctx context.Context, ev dse.CtxEvaluator, ms ModelSpec, es EvaluatorSpec, points [][]float64, yield func(int, engine.Outcome)) error {
+// routedStream is the cluster tier's one routing path: every
+// evaluation route, /v1/sweep and every sweep job run their points
+// through its EvaluateStream, so this is the one place that decides
+// local vs remote. Locally owned points run on the shared engine;
+// remote-owned points travel to their owner's peer-eval endpoint (so
+// the owner's cache serves or learns them) in exchanges of at most
+// MaxBatchPoints, and a failed exchange recomputes its points locally.
+type routedStream struct {
+	s *Server
+	// ms and es are the request's wire specs, which a peer re-resolves
+	// into the identical evaluator.
+	ms ModelSpec
+	es EvaluatorSpec
+	// evaluated, when non-nil, counts the points a peer computed (its
+	// outcomes that were not cache hits), so a sweep's progress covers
+	// the whole cluster; local work is counted by the evaluator itself
+	// (withCount).
+	evaluated *atomic.Int64
+}
+
+// streamRouted returns the stream a request's points run on: the shared
+// engine when the server is standalone, else the routed stream.
+func (s *Server) streamRouted(ms ModelSpec, es EvaluatorSpec, evaluated *atomic.Int64) dse.Streamer {
+	if s.cluster == nil {
+		return s.eng
+	}
+	return routedStream{s: s, ms: ms, es: es, evaluated: evaluated}
+}
+
+// EvaluateStream implements dse.Streamer. yield is serialized but may be
+// called from several goroutines' turns; an uncacheable evaluator (it
+// has no ring key) runs on the plain engine stream.
+func (r routedStream) EvaluateStream(ctx context.Context, ev dse.CtxEvaluator, points [][]float64, yield func(int, engine.Outcome)) error {
+	s := r.s
 	fp := ""
 	if f, ok := ev.(engine.Fingerprinter); ok {
 		fp = f.Fingerprint()
 	}
-	if s.cluster == nil || fp == "" {
+	if fp == "" {
 		return s.eng.EvaluateStream(ctx, ev, points, yield)
 	}
 	local, remote := s.partitionPoints(fp, points)
@@ -156,13 +107,13 @@ func (s *Server) streamRouted(ctx context.Context, ev dse.CtxEvaluator, ms Model
 	if len(remote) == 0 {
 		return s.eng.EvaluateStream(ctx, ev, points, yield)
 	}
-	rawModel, err := json.Marshal(ms)
-	if err != nil {
+	req := cluster.PeerEvalRequest{}
+	var err error
+	if req.Model, err = json.Marshal(r.ms); err != nil {
 		return err
 	}
-	var rawEval json.RawMessage
-	if es != (EvaluatorSpec{}) {
-		if rawEval, err = json.Marshal(es); err != nil {
+	if r.es != (EvaluatorSpec{}) {
+		if req.Evaluator, err = json.Marshal(r.es); err != nil {
 			return err
 		}
 	}
@@ -189,34 +140,46 @@ func (s *Server) streamRouted(ctx context.Context, ev dse.CtxEvaluator, ms Model
 		wg.Add(1)
 		go func(g *pointGroup) {
 			defer wg.Done()
-			pts := subsetPoints(points, g.idx)
-			outs, err := s.cluster.EvalOnPeer(ctx, g.owner, cluster.PeerEvalRequest{
-				Model:     rawModel,
-				Evaluator: rawEval,
-				Points:    pts,
-			})
-			if err == nil {
-				for k, o := range outs {
-					emit(g.idx[k], engine.Outcome{Value: o.Value, CacheHit: o.CacheHit, Err: o.Err})
-				}
-				return
+			// One exchange at a time per owner, so a large sweep's share
+			// holds one of the owner's admission slots, not many.
+			for lo := 0; lo < len(g.idx) && ctx.Err() == nil; lo += s.opts.MaxBatchPoints {
+				idx := g.idx[lo:min(lo+s.opts.MaxBatchPoints, len(g.idx))]
+				r.exchange(ctx, ev, g.owner, req, idx, points, emit)
 			}
-			if ctx.Err() != nil {
-				return // cancelled: unstarted points produce no yield, like EvaluateStream
-			}
-			// Peer unavailable: graceful, never wrong — the same
-			// deterministic kernel computes the group locally.
-			s.cluster.CountFallback(len(g.idx))
-			_ = s.eng.EvaluateStream(ctx, ev, pts, func(k int, o engine.Outcome) {
-				emit(g.idx[k], o)
-			})
 		}(g)
 	}
 	wg.Wait()
 	return ctx.Err()
 }
 
-// --- peer endpoints ---------------------------------------------------
+// exchange evaluates the points at idx on their owner, recomputing them
+// locally when the exchange fails.
+func (r routedStream) exchange(ctx context.Context, ev dse.CtxEvaluator, owner string, req cluster.PeerEvalRequest, idx []int, points [][]float64, emit func(int, engine.Outcome)) {
+	s := r.s
+	req.Points = subsetPoints(points, idx)
+	//lint:allow detguard the exchange's clock reads drive the peer breaker and latency histogram; a refused or failed exchange recomputes locally with the same kernel, so values never depend on them
+	outs, err := s.cluster.EvalOnPeer(ctx, owner, req)
+	if err == nil {
+		for k, o := range outs {
+			if !o.CacheHit && r.evaluated != nil {
+				r.evaluated.Add(1)
+			}
+			emit(idx[k], engine.Outcome{Value: o.Value, CacheHit: o.CacheHit, Err: o.Err})
+		}
+		return
+	}
+	if ctx.Err() != nil {
+		return // cancelled: unstarted points produce no yield, like EvaluateStream
+	}
+	// Peer unavailable: graceful, never wrong — the same deterministic
+	// kernel computes the points locally.
+	s.cluster.CountFallback(len(idx))
+	_ = s.eng.EvaluateStream(ctx, ev, req.Points, func(k int, o engine.Outcome) {
+		emit(idx[k], o)
+	})
+}
+
+// --- peer endpoint ----------------------------------------------------
 
 // handlePeerEval evaluates a forwarded point batch on the local engine
 // — always locally: a peer-eval request never re-routes, so transient
@@ -273,260 +236,4 @@ func (s *Server) handlePeerEval(w http.ResponseWriter, r *http.Request) {
 		out.Write(line)
 	})
 	out.Emit(cluster.PeerEvalSummary{Done: true, Points: len(req.Points), Errors: failures})
-}
-
-// handlePeerSweep runs a forwarded sub-sweep without re-partitioning
-// (the coordinator already split the slab by ring ownership; a second
-// split here could ping-pong under ring disagreement). The wire shape
-// is exactly /v1/sweep's.
-func (s *Server) handlePeerSweep(w http.ResponseWriter, r *http.Request) {
-	s.serveSweep(w, r, false)
-}
-
-// --- partitioned sweep ------------------------------------------------
-
-// remoteProgress aggregates the latest progress frame from every
-// running sub-sweep, so the coordinator's heartbeat reports cluster-wide
-// evaluation counts.
-type remoteProgress struct {
-	mu    sync.Mutex
-	byGrp map[int]int64
-}
-
-func newRemoteProgress() *remoteProgress {
-	return &remoteProgress{byGrp: make(map[int]int64)}
-}
-
-func (p *remoteProgress) set(group int, evaluated int64) {
-	p.mu.Lock()
-	p.byGrp[group] = evaluated
-	p.mu.Unlock()
-}
-
-func (p *remoteProgress) total() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var sum int64
-	for _, n := range p.byGrp {
-		sum += n
-	}
-	return sum
-}
-
-// subSweepOutcome is one remote partition's merged contribution.
-type subSweepOutcome struct {
-	group  []int
-	values []float64
-	report dse.SweepReport
-	err    error
-}
-
-// clusterSweep is the cluster-partitioned sweep: the flat point slab is
-// split by ring ownership, the local share runs through dse.SweepCtx
-// (with the request's checkpoint machinery), each remote share fans out
-// as a peer sub-sweep whose progress frames merge into rp, and the
-// partial values, reports and checkpoints merge back into one result.
-// A peer that dies mid-sub-sweep gets its share recomputed locally, so
-// the merged result is bit-identical to a single-node run.
-func (s *Server) clusterSweep(ctx context.Context, req SweepRequest, space dse.Space, ev dse.CtxEvaluator, opts dse.SweepOptions, rp *remoteProgress) ([]float64, dse.SweepReport, error) {
-	fp := ""
-	if f, ok := ev.(engine.Fingerprinter); ok {
-		fp = f.Fingerprint()
-	}
-	indices := req.Indices
-	if indices == nil {
-		indices = make([]int, space.Size())
-		for i := range indices {
-			indices[i] = i
-		}
-	}
-	if fp == "" {
-		return dse.SweepCtx(ctx, ev, space, req.Indices, opts)
-	}
-
-	// Partition the slab by ownership of each point's memo key.
-	dims := space.Dims()
-	slab := make([]float64, 0, len(indices)*dims)
-	var localIdx []int
-	var remote []*pointGroup
-	groups := make(map[string]*pointGroup)
-	for _, idx := range indices {
-		lo := len(slab)
-		slab = space.AppendPoint(slab, idx)
-		owner, isLocal := s.cluster.Owner(engine.KeyHash(fp, slab[lo:]))
-		if isLocal {
-			localIdx = append(localIdx, idx)
-			continue
-		}
-		g := groups[owner]
-		if g == nil {
-			g = &pointGroup{owner: owner}
-			groups[owner] = g
-			remote = append(remote, g)
-		}
-		g.idx = append(g.idx, idx)
-	}
-	s.cluster.CountLocal(len(localIdx))
-	s.cluster.CountRemote(len(indices) - len(localIdx))
-	if len(remote) == 0 {
-		return dse.SweepCtx(ctx, ev, space, indices, opts)
-	}
-
-	if localIdx == nil {
-		// nil means "the whole space" to SweepCtx; an empty local
-		// partition must sweep nothing.
-		localIdx = []int{}
-	}
-	results := make([]subSweepOutcome, 1+len(remote))
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		values, report, err := dse.SweepCtx(ctx, ev, space, localIdx, opts)
-		results[0] = subSweepOutcome{group: localIdx, values: values, report: report, err: err}
-	}()
-	for gi, g := range remote {
-		wg.Add(1)
-		go func(slot int, g *pointGroup) {
-			defer wg.Done()
-			results[slot] = s.subSweep(ctx, req, space, ev, g, slot, rp)
-		}(1+gi, g)
-	}
-	wg.Wait()
-
-	// Merge values and reports. The local partition's values win first
-	// (they may include resumed entries); remote partitions fill their
-	// own completed indices.
-	merged := make([]float64, space.Size())
-	for i := range merged {
-		merged[i] = math.NaN()
-	}
-	var rep dse.SweepReport
-	rep.Total = len(indices)
-	var firstErr error
-	for _, sub := range results {
-		if sub.values != nil {
-			for _, idx := range sub.report.Completed {
-				merged[idx] = sub.values[idx]
-			}
-		}
-		rep.Completed = append(rep.Completed, sub.report.Completed...)
-		rep.Failed = append(rep.Failed, sub.report.Failed...)
-		rep.Retries += sub.report.Retries
-		rep.Resumed += sub.report.Resumed
-		rep.CacheHits += sub.report.CacheHits
-		if sub.err != nil && !isContextErr(sub.err) && firstErr == nil {
-			firstErr = sub.err
-		}
-	}
-	sort.Ints(rep.Completed)
-	sort.Slice(rep.Failed, func(i, j int) bool { return rep.Failed[i].Index < rep.Failed[j].Index })
-	seen := make(map[int]bool, len(rep.Completed))
-	for _, idx := range rep.Completed {
-		seen[idx] = true
-	}
-	for _, f := range rep.Failed {
-		seen[f.Index] = true
-	}
-	for _, idx := range indices {
-		if !seen[idx] {
-			rep.Pending = append(rep.Pending, idx)
-		}
-	}
-	rep.Canceled = ctx.Err() != nil
-
-	// One merged checkpoint supersedes the local partition's partial
-	// writes, so a resume after the merge restores the whole cluster's
-	// completed set, not just this peer's share.
-	if opts.CheckpointPath != "" && firstErr == nil {
-		if err := dse.SaveCheckpoint(opts.CheckpointPath, space, merged, rep.Completed); err != nil {
-			return merged, rep, err
-		}
-	}
-	if firstErr != nil {
-		return merged, rep, firstErr
-	}
-	return merged, rep, ctx.Err()
-}
-
-// subSweep runs one remote partition: a peer-sweep exchange streaming
-// progress into rp, falling back to a local sweep of the same indices
-// when the peer fails mid-flight.
-func (s *Server) subSweep(ctx context.Context, req SweepRequest, space dse.Space, ev dse.CtxEvaluator, g *pointGroup, slot int, rp *remoteProgress) subSweepOutcome {
-	sub := SweepRequest{
-		Model:         req.Model,
-		Evaluator:     req.Evaluator,
-		Space:         req.Space,
-		Indices:       g.idx,
-		IncludeValues: true,
-		ProgressMS:    200,
-	}
-	body, err := json.Marshal(sub)
-	if err != nil {
-		return subSweepOutcome{group: g.idx, err: err}
-	}
-	var result *SweepResult
-	err = s.cluster.StreamFromPeer(ctx, g.owner, "/internal/v1/peer-sweep", body, func(line []byte) error {
-		if line == nil {
-			// Attempt boundary: the whole exchange restarts, so drop any
-			// partial progress from the previous try.
-			rp.set(slot, 0)
-			result = nil
-			return nil
-		}
-		var frame struct {
-			Type string `json:"type"`
-		}
-		if err := json.Unmarshal(line, &frame); err != nil {
-			return err
-		}
-		switch frame.Type {
-		case "progress":
-			var pr SweepProgress
-			if err := json.Unmarshal(line, &pr); err != nil {
-				return err
-			}
-			rp.set(slot, pr.Evaluated)
-			return nil
-		case "result":
-			var res SweepResult
-			if err := json.Unmarshal(line, &res); err != nil {
-				return err
-			}
-			result = &res
-			return nil
-		default:
-			return validationf("server: unknown sub-sweep frame type %q", frame.Type)
-		}
-	})
-	switch {
-	case err == nil && result != nil && result.Error == nil:
-		values := make([]float64, space.Size())
-		for i := range values {
-			values[i] = math.NaN()
-		}
-		for i, v := range result.Values {
-			if i < len(values) {
-				values[i] = float64(v)
-			}
-		}
-		return subSweepOutcome{group: g.idx, values: values, report: result.Report}
-	case ctx.Err() != nil:
-		// Cancelled: leave the partition pending, exactly like an
-		// interrupted local sweep.
-		return subSweepOutcome{group: g.idx, err: ctx.Err()}
-	}
-	// The peer died or answered garbage: recompute this share locally,
-	// without the checkpoint path (the coordinator writes the merged
-	// checkpoint once at the end).
-	s.cluster.CountFallback(len(g.idx))
-	fallbackOpts := dse.SweepOptions{Engine: s.eng}
-	values, report, err := dse.SweepCtx(ctx, ev, space, g.idx, fallbackOpts)
-	return subSweepOutcome{group: g.idx, values: values, report: report, err: err}
-}
-
-// isContextErr mirrors handleSweep's classification for the merge: a
-// cancelled partition leaves pending work, it is not a request failure.
-func isContextErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }

@@ -2,16 +2,19 @@ package server
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"net"
 	"net/http"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/dse"
 	"repro/internal/obs"
 	"repro/internal/robust"
 )
@@ -50,6 +53,13 @@ func (p *clusterPeer) revive(t *testing.T) {
 // its own engine, registry and ring view over the same membership.
 func startClusterPeers(t *testing.T, n int, copts cluster.Options) []*clusterPeer {
 	t.Helper()
+	return startClusterPeersWith(t, n, copts, Options{})
+}
+
+// startClusterPeersWith is startClusterPeers with sopts as every peer's
+// server options (Cluster and Metrics are filled in per peer).
+func startClusterPeersWith(t *testing.T, n int, copts cluster.Options, sopts Options) []*clusterPeer {
+	t.Helper()
 	lns := make([]net.Listener, n)
 	var cfg cluster.Config
 	for i := 0; i < n; i++ {
@@ -74,7 +84,9 @@ func startClusterPeers(t *testing.T, n int, copts cluster.Options) []*clusterPee
 		if err != nil {
 			t.Fatalf("cluster.New: %v", err)
 		}
-		srv := New(Options{Cluster: cl, Metrics: reg})
+		so := sopts
+		so.Cluster, so.Metrics = cl, reg
+		srv := New(so)
 		p := &clusterPeer{
 			name: c.Self,
 			url:  cfg.Peers[i].URL,
@@ -91,10 +103,21 @@ func startClusterPeers(t *testing.T, n int, copts cluster.Options) []*clusterPee
 	return peers
 }
 
-// sweepOver POSTs a sweep and returns its final result frame.
+// sweepOver POSTs a sweep and returns its final result frame, failing
+// the test when the frame carries an error.
 func sweepOver(t *testing.T, baseURL string, req SweepRequest) SweepResult {
 	t.Helper()
-	resp := postJSON(t, &http.Client{}, baseURL+"/v1/sweep", req)
+	res := sweepFrame(t, baseURL+"/v1/sweep", req)
+	if res.Error != nil {
+		t.Fatalf("sweep error: %+v", *res.Error)
+	}
+	return res
+}
+
+// sweepFrame POSTs a sweep to url and returns its final result frame.
+func sweepFrame(t *testing.T, url string, req SweepRequest) SweepResult {
+	t.Helper()
+	resp := postJSON(t, &http.Client{}, url, req)
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(resp.Body)
@@ -123,9 +146,6 @@ func sweepOver(t *testing.T, baseURL string, req SweepRequest) SweepResult {
 	}
 	if !found {
 		t.Fatal("sweep stream ended without a result frame")
-	}
-	if res.Error != nil {
-		t.Fatalf("sweep error: %+v", *res.Error)
 	}
 	return res
 }
@@ -341,5 +361,132 @@ func TestReadyzClusterFieldNames(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("standalone peer-eval status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestClusterCheckpointResumeMatchesSingleNode checks two invariants
+// together: a checkpointed cluster sweep cut short by its deadline and
+// then resumed on the coordinator must equal an uninterrupted
+// single-node sweep bit for bit, and the resume must restore the cut
+// run's completed points rather than recompute them.
+func TestClusterCheckpointResumeMatchesSingleNode(t *testing.T) {
+	peers := startClusterPeersWith(t, 3, cluster.Options{}, Options{CheckpointDir: t.TempDir()})
+	_, single := newTestServer(t, Options{})
+	req := SweepRequest{
+		Model:           ModelSpec{App: "fluidanimate"},
+		Evaluator:       EvaluatorSpec{Kind: "sim", TotalRefs: 2000},
+		Space:           SpaceSpec{Per: 2},
+		CheckpointEvery: 1,
+		IncludeValues:   true,
+		ProgressMS:      20,
+	}
+	want := sweepOver(t, single.URL, req)
+
+	// Cut the sweep short; lengthen the deadline until the cut lands
+	// mid-sweep (some points done, some pending).
+	var cut SweepResult
+	for ms := 50; ; ms *= 2 {
+		req.Checkpoint = fmt.Sprintf("cut-%d.ck", ms)
+		cut = sweepFrame(t, fmt.Sprintf("%s/v1/sweep?timeout_ms=%d", peers[0].url, ms), req)
+		done := len(cut.Report.Completed)
+		if done > 0 && done < cut.Report.Total {
+			break
+		}
+		if done == cut.Report.Total || ms > 5000 {
+			t.Fatalf("no deadline cut the sweep mid-way (last: %d ms, %d/%d done)", ms, done, cut.Report.Total)
+		}
+	}
+	if !cut.Report.Canceled || len(cut.Report.Pending) == 0 {
+		t.Fatalf("cut sweep: canceled=%v, %d pending", cut.Report.Canceled, len(cut.Report.Pending))
+	}
+
+	req.Resume = true
+	got := sweepOver(t, peers[0].url, req)
+	if got.Report.Resumed != len(cut.Report.Completed) {
+		t.Fatalf("resumed %d points, want the cut run's %d", got.Report.Resumed, len(cut.Report.Completed))
+	}
+	if len(got.Report.Completed) != got.Report.Total {
+		t.Fatalf("resumed sweep incomplete: %d/%d", len(got.Report.Completed), got.Report.Total)
+	}
+	wantBitIdentical(t, "resumed cluster sweep", want.Values, got.Values)
+	if peers[0].reg.Counter("cluster_remote_points_total").Value() == 0 {
+		t.Fatal("cluster sweep routed no points to remote peers")
+	}
+}
+
+// TestClusterSweepJobRoutesToPeers runs a durable sweep job on a 3-peer
+// cluster: its points are routed over the ring like /v1/sweep's, and
+// the stored result equals the single-node job's.
+func TestClusterSweepJobRoutesToPeers(t *testing.T) {
+	peers := startClusterPeersWith(t, 3, cluster.Options{}, Options{JobDir: t.TempDir()})
+	_, single := newTestServer(t, Options{JobDir: t.TempDir()})
+
+	result := func(base string) SweepJobResult {
+		t.Helper()
+		j := submitJob(t, base, jobSweepRequest())
+		waitJobState(t, base, j.ID, JobSucceeded)
+		var res SweepJobResult
+		if status := getJSON(t, base, "/v1/jobs/"+j.ID+"/result", "", &res); status != http.StatusOK {
+			t.Fatalf("result = %d", status)
+		}
+		return res
+	}
+	want, got := result(single.URL), result(peers[0].url)
+	wantBitIdentical(t, "sweep job", want.Values, got.Values)
+	if got.BestIndex != want.BestIndex {
+		t.Fatalf("best index %d, want %d", got.BestIndex, want.BestIndex)
+	}
+	if peers[0].reg.Counter("cluster_remote_points_total").Value() == 0 {
+		t.Fatal("cluster sweep job routed no points to remote peers")
+	}
+	if peers[0].reg.Counter("cluster_fallback_points_total").Value() != 0 {
+		t.Fatal("healthy cluster fell back to local compute")
+	}
+}
+
+// TestClusterSweepChunksPeerExchanges bounds every peer's batch at 64
+// points: each peer's share of a 4096-point sweep must travel in
+// several exchanges that the owners accept (no point falls back), and
+// the values must equal a single node's.
+func TestClusterSweepChunksPeerExchanges(t *testing.T) {
+	peers := startClusterPeersWith(t, 3, cluster.Options{}, Options{MaxBatchPoints: 64})
+	_, single := newTestServer(t, Options{})
+	req := SweepRequest{Model: ModelSpec{App: "tmm"}, Space: SpaceSpec{Per: 4}, IncludeValues: true}
+
+	want := sweepOver(t, single.URL, req)
+	got := sweepOver(t, peers[0].url, req)
+	wantBitIdentical(t, "chunked cluster sweep", want.Values, got.Values)
+	reg := peers[0].reg
+	if fb := reg.Counter("cluster_fallback_points_total").Value(); fb != 0 {
+		t.Fatalf("%d points fell back to local compute", fb)
+	}
+	remote := reg.Counter("cluster_remote_points_total").Value()
+	exchanges := reg.Counter("cluster_peer_requests_total").Value()
+	if remote == 0 || exchanges < (remote+63)/64 || exchanges <= 2 {
+		t.Fatalf("%d remote points in %d exchanges, want chunks of at most 64", remote, exchanges)
+	}
+}
+
+// TestClusterSweepCountsPeerWork checks that a sweep's progress counter
+// covers the points its peers computed: on a cold cluster every point
+// is computed exactly once, locally or on its owner.
+func TestClusterSweepCountsPeerWork(t *testing.T) {
+	peers := startClusterPeers(t, 3, cluster.Options{})
+	s := peers[0].srv
+	req := SweepRequest{Model: ModelSpec{App: "fft"}, Space: SpaceSpec{Per: 3}}
+	var evaluated atomic.Int64
+	work, err := s.sweepWork(context.Background(), &req, &evaluated)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rep, err := dse.SweepCtx(context.Background(), work.ev, work.space, nil, work.opts)
+	if err != nil || len(rep.Completed) != work.total {
+		t.Fatalf("sweep: %d/%d completed, err %v", len(rep.Completed), work.total, err)
+	}
+	if peers[0].reg.Counter("cluster_remote_points_total").Value() == 0 {
+		t.Fatal("cluster sweep routed no points to remote peers")
+	}
+	if n := evaluated.Load(); n != int64(work.total) {
+		t.Fatalf("progress counted %d evaluations, want %d (every point once)", n, work.total)
 	}
 }

@@ -160,7 +160,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	// one tenant cannot crowd the pool any more than a batch can. In a
 	// cluster the point may resolve on its ring owner's cache instead.
 	var out engine.Outcome
-	streamErr := s.streamRouted(r.Context(), ev, req.Model, req.Evaluator, [][]float64{req.Point}, func(_ int, o engine.Outcome) {
+	streamErr := s.streamRouted(req.Model, req.Evaluator, nil).EvaluateStream(r.Context(), ev, [][]float64{req.Point}, func(_ int, o engine.Outcome) {
 		out = o
 	})
 	if streamErr != nil {
@@ -182,7 +182,6 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 
 // fail counts and renders an error envelope.
 func (s *Server) fail(w http.ResponseWriter, err error) {
-	s.errors.Add(1)
 	s.obsErrors.Add(1)
 	writeError(w, err)
 }
@@ -256,7 +255,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	defer out.Close()
 	lines := newBatchLines(out, len(req.Points))
 	hits, failures := 0, 0
-	streamErr := s.streamRouted(r.Context(), ev, req.Model, req.Evaluator, req.Points, func(i int, o engine.Outcome) {
+	streamErr := s.streamRouted(req.Model, req.Evaluator, nil).EvaluateStream(r.Context(), ev, req.Points, func(i int, o engine.Outcome) {
 		if o.Err != nil {
 			failures++
 		}
@@ -302,8 +301,9 @@ type SweepRequest struct {
 // SweepProgress is a periodic NDJSON heartbeat of a running sweep.
 type SweepProgress struct {
 	Type string `json:"type"` // "progress"
-	// Evaluated counts raw evaluator invocations so far (cache hits do
-	// not appear here; they cost no evaluation).
+	// Evaluated counts raw evaluator invocations so far, in a cluster
+	// with the points peers computed for this sweep (cache hits do not
+	// appear here; they cost no evaluation).
 	Evaluated int64 `json:"evaluated"`
 	Total     int   `json:"total"`
 	ElapsedMS int64 `json:"elapsed_ms"`
@@ -375,25 +375,18 @@ func withCount(ev dse.CtxEvaluator, n *atomic.Int64) dse.CtxEvaluator {
 	})
 }
 
-// handleSweep runs dse.SweepCtx on the shared engine and streams NDJSON:
+// handleSweep runs dse.SweepCtx on the request's stream (streamRouted:
+// in a cluster, each point on its ring owner) and streams NDJSON:
 // progress heartbeats while the sweep runs, then one result frame with
-// the structured report (and optionally the dense values). In a cluster
-// the sweep is partitioned by ring ownership first (cluster.go).
+// the structured report (and optionally the dense values).
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	s.serveSweep(w, r, true)
-}
-
-// serveSweep is the shared sweep engine behind /v1/sweep (partition =
-// true) and /internal/v1/peer-sweep (partition = false: a forwarded
-// sub-sweep always evaluates locally, so ring disagreement between peers
-// cannot ping-pong work).
-func (s *Server) serveSweep(w http.ResponseWriter, r *http.Request, partition bool) {
 	var req SweepRequest
 	if err := decodeJSON(r, &req); err != nil {
 		s.fail(w, err)
 		return
 	}
-	work, err := s.sweepWork(r.Context(), &req)
+	var evaluated atomic.Int64
+	work, err := s.sweepWork(r.Context(), &req, &evaluated)
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -405,8 +398,6 @@ func (s *Server) serveSweep(w http.ResponseWriter, r *http.Request, partition bo
 	}
 	defer unlock()
 
-	var evaluated atomic.Int64
-	counted := withCount(work.ev, &evaluated)
 	cadence := time.Duration(req.ProgressMS) * time.Millisecond
 	if cadence <= 0 {
 		cadence = 500 * time.Millisecond
@@ -422,16 +413,8 @@ func (s *Server) serveSweep(w http.ResponseWriter, r *http.Request, partition bo
 		err    error
 	}
 	doneCh := make(chan sweepDone, 1)
-	rp := newRemoteProgress()
 	go func() {
-		var values []float64
-		var report dse.SweepReport
-		var err error
-		if partition && s.cluster != nil {
-			values, report, err = s.clusterSweep(r.Context(), req, work.space, counted, work.opts, rp)
-		} else {
-			values, report, err = dse.SweepCtx(r.Context(), counted, work.space, req.Indices, work.opts)
-		}
+		values, report, err := dse.SweepCtx(r.Context(), work.ev, work.space, req.Indices, work.opts)
 		doneCh <- sweepDone{values: values, report: report, err: err}
 	}()
 
@@ -445,7 +428,7 @@ func (s *Server) serveSweep(w http.ResponseWriter, r *http.Request, partition bo
 		case <-ticker.C:
 			out.Emit(SweepProgress{
 				Type:      "progress",
-				Evaluated: evaluated.Load() + rp.total(),
+				Evaluated: evaluated.Load(),
 				Total:     work.total,
 				ElapsedMS: time.Since(start).Milliseconds(),
 			})

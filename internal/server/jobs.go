@@ -170,7 +170,7 @@ func (s *Server) validateSubmit(ctx context.Context, sub *JobSubmitRequest) (str
 		sub.APS != nil && (sub.APS.Checkpoint != "" || sub.APS.Resume):
 		return "", validationf("server: jobs manage their own checkpoints; drop checkpoint/resume")
 	case sub.Sweep != nil:
-		_, err = s.sweepWork(ctx, sub.Sweep)
+		_, err = s.sweepWork(ctx, sub.Sweep, nil) // validation only: nothing runs
 	default:
 		_, err = s.apsWork(ctx, sub.APS)
 	}
@@ -181,7 +181,6 @@ func (s *Server) validateSubmit(ctx context.Context, sub *JobSubmitRequest) (str
 // 202 response carries the pending record with its ID.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		s.errors.Add(1)
 		s.obsErrors.Add(1)
 		writeErrorBody(w, http.StatusServiceUnavailable,
 			ErrorBody{Code: CodeUnavailable, Message: "server is draining"})
@@ -493,7 +492,7 @@ func (m *jobManager) runSweep(ctx context.Context, e *jobEntry) (json.RawMessage
 		return nil, nil, validationf("server: job %s carries an unreadable request", e.job.ID)
 	}
 	req := sub.Sweep
-	work, err := m.s.sweepWork(ctx, req)
+	work, err := m.s.sweepWork(ctx, req, &e.evaluated)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -505,7 +504,7 @@ func (m *jobManager) runSweep(ctx context.Context, e *jobEntry) (json.RawMessage
 		return nil, nil, err
 	}
 	defer unlock()
-	values, report, err := dse.SweepCtx(ctx, withCount(work.ev, &e.evaluated), work.space, req.Indices, work.opts)
+	values, report, err := dse.SweepCtx(ctx, work.ev, work.space, req.Indices, work.opts)
 	if err != nil {
 		return nil, &report, err
 	}

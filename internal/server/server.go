@@ -20,12 +20,11 @@
 //	POST   /v1/jobs/{id}/cancel       cancel a job
 //	DELETE /v1/jobs/{id}              remove a finished job
 //	POST   /internal/v1/peer-eval     points forwarded by a cluster peer
-//	POST   /internal/v1/peer-sweep    a sub-sweep forwarded by a cluster peer
 //	GET    /healthz                   liveness (process up)
 //	GET    /readyz                    readiness + engine/server statistics
 //	GET    /metrics                   obs.Registry text exposition
 //
-// The /v1/jobs routes exist only with Options.JobDir, the peer routes
+// The /v1/jobs routes exist only with Options.JobDir, the peer route
 // only in a cluster. Every sweep and APS request, synchronous or a job,
 // resolves through one resolver per kind (work.go).
 //
@@ -133,18 +132,19 @@ type Options struct {
 	Catalog *Catalog
 
 	// Cluster joins this server to a peer tier (internal/cluster): each
-	// (fingerprint, point) key is routed to its ring owner, remote-owned
-	// points travel over POST /internal/v1/peer-eval, sweeps are
-	// partitioned by ownership, and any peer failure falls back to local
-	// compute. Nil runs the server standalone (the endpoints 404). Pass
-	// the same obs.Registry to both so /metrics shows the cluster_*
-	// instruments.
+	// (fingerprint, point) key of an evaluation, batch, sweep or sweep
+	// job is routed to its ring owner, remote-owned points travel over
+	// POST /internal/v1/peer-eval in exchanges of at most MaxBatchPoints,
+	// and any peer failure falls back to local compute. Nil runs the
+	// server standalone (the endpoint 404s). Pass the same obs.Registry
+	// to both so /metrics shows the cluster_* instruments.
 	Cluster *cluster.Cluster
 
 	// Tracer records server.* and engine.* spans (nil: tracing off).
 	Tracer *obs.Tracer
 	// Metrics receives the server_* instruments and backs /metrics (nil:
-	// a private registry, so /metrics always works).
+	// a private registry, so /metrics always works). Stats reads its
+	// counters from this registry, so give each Server its own.
 	Metrics *obs.Registry
 }
 
@@ -187,12 +187,6 @@ type Server struct {
 
 	ckMu    sync.Mutex
 	ckInUse map[string]bool
-
-	requests atomic.Uint64
-	admitted atomic.Uint64
-	shed     atomic.Uint64
-	errors   atomic.Uint64
-	panics   atomic.Uint64
 
 	obsRequests *obs.Counter
 	obsAdmitted *obs.Counter
@@ -298,7 +292,6 @@ func New(opts Options) *Server {
 	s.mux.Handle("POST /v1/aps", s.work("server.aps", s.handleAPS))
 	if s.cluster != nil {
 		s.mux.Handle("POST /internal/v1/peer-eval", s.peerWork("server.peer_eval", s.handlePeerEval))
-		s.mux.Handle("POST /internal/v1/peer-sweep", s.peerWork("server.peer_sweep", s.handlePeerSweep))
 	}
 	if opts.JobDir != "" {
 		s.jobs = newJobManager(s, opts.JobDir)
@@ -331,14 +324,15 @@ func (s *Server) Engine() *engine.Engine { return s.eng }
 // Metrics returns the registry backing /metrics.
 func (s *Server) Metrics() *obs.Registry { return s.metrics }
 
-// Stats snapshots the server's counters.
+// Stats snapshots the server's counters, read from the server_*
+// instruments of the Metrics registry.
 func (s *Server) Stats() Stats {
 	return Stats{
-		Requests: s.requests.Load(),
-		Admitted: s.admitted.Load(),
-		Shed:     s.shed.Load(),
-		Errors:   s.errors.Load(),
-		Panics:   s.panics.Load(),
+		Requests: s.obsRequests.Value(),
+		Admitted: s.obsAdmitted.Value(),
+		Shed:     s.obsShed.Value(),
+		Errors:   s.obsErrors.Value(),
+		Panics:   s.obsPanics.Value(),
 		InFlight: s.adm.inUseCount(),
 		Queued:   int64(s.adm.waitingCount()),
 		Draining: s.draining.Load(),
@@ -351,7 +345,6 @@ func (s *Server) Ready() bool { return !s.draining.Load() }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
 	s.obsRequests.Add(1)
 	s.mux.ServeHTTP(w, r)
 }
@@ -435,29 +428,52 @@ func (g *engineGate) AcquireSlot(ctx context.Context) (func(), error) {
 }
 
 // work wraps an evaluation handler with the full load-path middleware:
-// drain rejection, tenant resolution, the token-bucket rate limit,
-// fair-share admission, the per-request deadline, observability
-// propagation, a request span, and panic isolation.
+// tenant resolution and the token-bucket rate limit, then the admitted
+// tail every work request shares (admit).
 func (s *Server) work(span string, h func(http.ResponseWriter, *http.Request)) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if s.draining.Load() {
-			s.errors.Add(1)
-			s.obsErrors.Add(1)
-			writeErrorBody(w, http.StatusServiceUnavailable,
-				ErrorBody{Code: CodeUnavailable, Message: "server is draining"})
-			return
-		}
+	return s.admit(span, h, func(w http.ResponseWriter, r *http.Request) *tenantState {
 		t, err := s.tenants.lookup(r)
 		if err != nil {
-			s.errors.Add(1)
-			s.obsErrors.Add(1)
-			writeError(w, err)
-			return
+			s.fail(w, err)
+			return nil
 		}
 		t.obsRequests.Add(1)
 		if ok, wait := t.allow(time.Now()); !ok {
 			s.shedTenant(w, t, retryAfterSeconds(wait),
 				ErrorBody{Code: CodeRateLimited, Message: "tenant rate limit exceeded; retry later"})
+			return nil
+		}
+		return t
+	})
+}
+
+// peerWork wraps an internal peer endpoint: the admitted tail under the
+// anonymous identity, with no tenant lookup and no rate limit, because
+// intra-cluster traffic carries no API key (the peer endpoint is
+// private-network internal, reachable only on the peer listen
+// addresses; see DESIGN.md §15). Admission still takes a slot so
+// forwarded work cannot oversubscribe a peer past its own gate.
+func (s *Server) peerWork(span string, h func(http.ResponseWriter, *http.Request)) http.Handler {
+	return s.admit(span, h, func(http.ResponseWriter, *http.Request) *tenantState {
+		return s.tenants.anonymous()
+	})
+}
+
+// admit is the tail of every admitted request: drain rejection, the
+// caller's tenant resolution (nil: it has answered the request),
+// fair-share admission, the per-request deadline, cancellation on a
+// forced drain, the server_request_seconds observation and the isolated
+// handler call.
+func (s *Server) admit(span string, h func(http.ResponseWriter, *http.Request), tenant func(http.ResponseWriter, *http.Request) *tenantState) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if s.draining.Load() {
+			s.obsErrors.Add(1)
+			writeErrorBody(w, http.StatusServiceUnavailable,
+				ErrorBody{Code: CodeUnavailable, Message: "server is draining"})
+			return
+		}
+		t := tenant(w, r)
+		if t == nil {
 			return
 		}
 		queued := time.Now()
@@ -469,13 +485,10 @@ func (s *Server) work(span string, h func(http.ResponseWriter, *http.Request)) h
 					ErrorBody{Code: CodeOverloaded, Message: "admission queue full; retry later"})
 				return
 			}
-			s.errors.Add(1)
-			s.obsErrors.Add(1)
-			writeError(w, err)
+			s.fail(w, err)
 			return
 		}
 		defer release()
-		s.admitted.Add(1)
 		s.obsAdmitted.Add(1)
 		s.inflight.Add(1)
 		defer s.inflight.Done()
@@ -484,7 +497,6 @@ func (s *Server) work(span string, h func(http.ResponseWriter, *http.Request)) h
 
 		timeout, err := s.requestTimeout(r)
 		if err != nil {
-			s.errors.Add(1)
 			s.obsErrors.Add(1)
 			writeErrorBody(w, http.StatusBadRequest, ErrorBody{Code: CodeBadRequest, Message: err.Error()})
 			return
@@ -493,83 +505,60 @@ func (s *Server) work(span string, h func(http.ResponseWriter, *http.Request)) h
 		defer cancel()
 		id := s.registerCancel(cancel)
 		defer s.unregisterCancel(id)
-		ctx = contextWithTenant(ctx, t)
-		ctx = obs.ContextWithTracer(ctx, s.tracer)
-		ctx = obs.ContextWithMetrics(ctx, s.metrics)
-		ctx, sp := s.tracer.Start(ctx, span)
 		start := time.Now()
-		defer func() {
-			s.obsSeconds.Observe(time.Since(start).Seconds())
-			if rec := recover(); rec != nil {
-				s.panics.Add(1)
-				s.obsPanics.Add(1)
-				s.errors.Add(1)
-				s.obsErrors.Add(1)
-				if sp != nil {
-					sp.Annotate(obs.S("panic", "true"))
-					sp.Finish()
-				}
-				// Best effort: if the handler already streamed a body the
-				// envelope write fails silently, which is all HTTP offers.
-				writeErrorBody(w, http.StatusInternalServerError,
-					ErrorBody{Code: CodeInternal, Message: "internal server error"})
-				return
-			}
-			sp.Finish()
-		}()
-		h(w, r.WithContext(ctx))
+		s.isolate(w, r.WithContext(ctx), t, span, h)
+		s.obsSeconds.Observe(time.Since(start).Seconds())
 	})
+}
+
+// isolate runs h under a request span, with the tenant, tracer and
+// registry on its context, and turns a handler panic into a counted 500
+// envelope.
+func (s *Server) isolate(w http.ResponseWriter, r *http.Request, t *tenantState, span string, h func(http.ResponseWriter, *http.Request)) {
+	ctx := contextWithTenant(r.Context(), t)
+	ctx = obs.ContextWithTracer(ctx, s.tracer)
+	ctx = obs.ContextWithMetrics(ctx, s.metrics)
+	ctx, sp := s.tracer.Start(ctx, span)
+	defer func() {
+		if rec := recover(); rec != nil {
+			s.obsPanics.Add(1)
+			s.obsErrors.Add(1)
+			sp.Annotate(obs.S("panic", "true"))
+			// Best effort: if the handler already streamed a body the
+			// envelope write fails silently, which is all HTTP offers.
+			writeErrorBody(w, http.StatusInternalServerError,
+				ErrorBody{Code: CodeInternal, Message: "internal server error"})
+		}
+		sp.Finish()
+	}()
+	h(w, r.WithContext(ctx))
 }
 
 // shedTenant renders one 429, charging both the global and the tenant's
 // shed counters.
 func (s *Server) shedTenant(w http.ResponseWriter, t *tenantState, retryAfter int, body ErrorBody) {
-	s.errors.Add(1)
 	s.obsErrors.Add(1)
-	s.shed.Add(1)
 	s.obsShed.Add(1)
 	t.obsShed.Add(1)
 	w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
 	writeErrorBody(w, http.StatusTooManyRequests, body)
 }
 
-// control wraps a /v1/jobs control-plane handler: tenant resolution, a
-// request span and panic isolation — but no admission slot and no
-// deadline beyond the client's, because submit/poll/cancel are cheap
-// and must answer even while the work plane is saturated. Only submit
-// consumes from the tenant's token bucket (it enqueues work; polling
-// must stay free or clients would burn their budget watching jobs).
+// control wraps a /v1/jobs control-plane handler: tenant resolution and
+// the isolated handler call — but no admission slot and no deadline
+// beyond the client's, because submit/poll/cancel are cheap and must
+// answer even while the work plane is saturated. Only submit consumes
+// from the tenant's token bucket (it enqueues work; polling must stay
+// free or clients would burn their budget watching jobs).
 func (s *Server) control(span string, h func(http.ResponseWriter, *http.Request)) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		t, err := s.tenants.lookup(r)
 		if err != nil {
-			s.errors.Add(1)
-			s.obsErrors.Add(1)
-			writeError(w, err)
+			s.fail(w, err)
 			return
 		}
 		t.obsRequests.Add(1)
-		ctx := contextWithTenant(r.Context(), t)
-		ctx = obs.ContextWithTracer(ctx, s.tracer)
-		ctx = obs.ContextWithMetrics(ctx, s.metrics)
-		ctx, sp := s.tracer.Start(ctx, span)
-		defer func() {
-			if rec := recover(); rec != nil {
-				s.panics.Add(1)
-				s.obsPanics.Add(1)
-				s.errors.Add(1)
-				s.obsErrors.Add(1)
-				if sp != nil {
-					sp.Annotate(obs.S("panic", "true"))
-					sp.Finish()
-				}
-				writeErrorBody(w, http.StatusInternalServerError,
-					ErrorBody{Code: CodeInternal, Message: "internal server error"})
-				return
-			}
-			sp.Finish()
-		}()
-		h(w, r.WithContext(ctx))
+		s.isolate(w, r, t, span, h)
 	})
 }
 

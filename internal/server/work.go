@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"sync/atomic"
 
 	"repro/internal/aps"
 	"repro/internal/core"
@@ -46,10 +47,10 @@ func (s *Server) resolveWork(m ModelSpec, e EvaluatorSpec) (model.Model, dse.Ctx
 	return fm, wrapEvaluator(ev), nil
 }
 
-// sweepOptions resolves a request's checkpoint name into the sweep
-// options of the shared engine and enforces the pairing: resuming needs
-// a named checkpoint. Job runners replace both fields with the job's
-// own checkpoint.
+// sweepOptions resolves a request's checkpoint name into sweep options
+// and enforces the pairing: resuming needs a named checkpoint. sweepWork
+// sets the request's stream and APS its own engine. Job runners replace
+// both checkpoint fields with the job's own checkpoint.
 func (s *Server) sweepOptions(ctx context.Context, checkpoint string, resume bool) (dse.SweepOptions, error) {
 	path, err := s.checkpointPath(ctx, checkpoint)
 	if err != nil {
@@ -58,7 +59,7 @@ func (s *Server) sweepOptions(ctx context.Context, checkpoint string, resume boo
 	if resume && path == "" {
 		return dse.SweepOptions{}, validationf("server: resume requires a checkpoint name")
 	}
-	return dse.SweepOptions{Engine: s.eng, CheckpointPath: path, Resume: resume}, nil
+	return dse.SweepOptions{CheckpointPath: path, Resume: resume}, nil
 }
 
 // sweepWork is a resolved sweep request.
@@ -69,10 +70,12 @@ type sweepWork struct {
 	opts  dse.SweepOptions
 }
 
-// sweepWork resolves a sweep request for /v1/sweep, the peer sub-sweep
-// and sweep jobs: model, space by Catalog.Space's one rule, the wrapped
-// evaluator, index bounds and the checkpoint/resume pairing.
-func (s *Server) sweepWork(ctx context.Context, req *SweepRequest) (sweepWork, error) {
+// sweepWork resolves a sweep request for /v1/sweep and sweep jobs:
+// model, space by Catalog.Space's one rule, the wrapped evaluator
+// counting into evaluated, index bounds, the checkpoint/resume pairing
+// and the request's stream (streamRouted), whose peer work counts into
+// evaluated too.
+func (s *Server) sweepWork(ctx context.Context, req *SweepRequest, evaluated *atomic.Int64) (sweepWork, error) {
 	fm, ev, err := s.resolveWork(req.Model, req.Evaluator)
 	if err != nil {
 		return sweepWork{}, err
@@ -90,12 +93,13 @@ func (s *Server) sweepWork(ctx context.Context, req *SweepRequest) (sweepWork, e
 	if err != nil {
 		return sweepWork{}, err
 	}
+	opts.Engine = s.streamRouted(req.Model, req.Evaluator, evaluated)
 	opts.CheckpointEvery = req.CheckpointEvery
 	total := len(req.Indices)
 	if total == 0 {
 		total = space.Size()
 	}
-	return sweepWork{space: space, ev: ev, total: total, opts: opts}, nil
+	return sweepWork{space: space, ev: withCount(ev, evaluated), total: total, opts: opts}, nil
 }
 
 // sweepOutcome fills the best index, point and value (and the dense

@@ -205,7 +205,7 @@ func FuzzResolveRequests(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var sweep SweepRequest
 		if decode(data, &sweep) == nil {
-			if w, err := s.sweepWork(ctx, &sweep); err == nil {
+			if w, err := s.sweepWork(ctx, &sweep, nil); err == nil {
 				checkSpace(t, s, sweep.Model, sweep.Space, w.space)
 				for _, idx := range sweep.Indices {
 					if idx < 0 || idx >= w.space.Size() {

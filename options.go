@@ -176,7 +176,11 @@ func (c *runConfig) engineFor() *Engine {
 func Sweep(ctx context.Context, e CtxEvaluator, s DesignSpace, opts ...Option) ([]float64, SweepReport, error) {
 	c := newRunConfig(opts)
 	sweep := c.sweepOptions()
-	sweep.Engine, sweep.Workers = c.engineFor(), c.workers
+	if eng := c.engineFor(); eng != nil {
+		// A nil *Engine in the interface field would not read as nil.
+		sweep.Engine = eng
+	}
+	sweep.Workers = c.workers
 	return dse.SweepCtx(c.context(ctx), e, s, nil, sweep)
 }
 
