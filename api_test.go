@@ -154,10 +154,10 @@ func TestFacadeDSEAndAPS(t *testing.T) {
 		t.Fatalf("paper space size = %d, want 10^6", full.Size())
 	}
 	// Cheap evaluator through the facade types.
-	eval := c2bound.EvaluatorFunc(func(p []float64) float64 {
-		return 1000/p[3] + p[0] + 100/p[5] + 10/p[4] + 1/p[1] + 1/p[2]
+	eval := c2bound.EvaluatorFunc(func(_ context.Context, p []float64) (float64, error) {
+		return 1000/p[3] + p[0] + 100/p[5] + 10/p[4] + 1/p[1] + 1/p[2], nil
 	})
-	values, report, err := c2bound.Sweep(context.Background(), c2bound.AdaptEvaluator(eval), space, c2bound.WithWorkers(2))
+	values, report, err := c2bound.Sweep(context.Background(), eval, space, c2bound.WithWorkers(2))
 	if err != nil {
 		t.Fatalf("Sweep: %v", err)
 	}
@@ -168,7 +168,7 @@ func TestFacadeDSEAndAPS(t *testing.T) {
 	app.G = c2bound.FixedSize()
 	app.GOrder = 0
 	m := c2bound.Model{Chip: chipCfg, App: app}
-	res, err := c2bound.RunAPS(context.Background(), m, space, c2bound.AdaptEvaluator(eval),
+	res, err := c2bound.RunAPS(context.Background(), m, space, eval,
 		c2bound.WithOptimize(c2bound.OptimizeOptions{MaxN: 64}))
 	if err != nil {
 		t.Fatalf("RunAPS: %v", err)
@@ -181,8 +181,8 @@ func TestFacadeDSEAndAPS(t *testing.T) {
 func TestFacadeV2Options(t *testing.T) {
 	chipCfg := c2bound.DefaultChip()
 	space := facadeSpace(t, 3)
-	eval := c2bound.EvaluatorFunc(func(p []float64) float64 {
-		return 1000/p[3] + p[0] + 100/p[5] + 10/p[4] + 1/p[1] + 1/p[2]
+	eval := c2bound.EvaluatorFunc(func(_ context.Context, p []float64) (float64, error) {
+		return 1000/p[3] + p[0] + 100/p[5] + 10/p[4] + 1/p[1] + 1/p[2], nil
 	})
 	app := c2bound.FluidanimateApp()
 	app.G = c2bound.FixedSize()
@@ -192,7 +192,7 @@ func TestFacadeV2Options(t *testing.T) {
 	tracer := c2bound.NewTracer(1 << 12)
 	metrics := c2bound.NewMetrics()
 	eng := c2bound.NewEngine(c2bound.EngineOptions{Workers: 2, Tracer: tracer, Metrics: metrics})
-	res, err := c2bound.RunAPS(context.Background(), m, space, c2bound.AdaptEvaluator(eval),
+	res, err := c2bound.RunAPS(context.Background(), m, space, eval,
 		c2bound.WithEngine(eng),
 		c2bound.WithTracer(tracer),
 		c2bound.WithMetrics(metrics),

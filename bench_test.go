@@ -7,6 +7,7 @@
 package c2bound_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -147,7 +148,7 @@ func BenchmarkFig12SimulationCounts(b *testing.B) {
 	var d experiments.Fig12Data
 	for i := 0; i < b.N; i++ {
 		var err error
-		_, d, err = experiments.Fig12SimulationCounts(experiments.Scale{SpacePer: 3, TotalRefs: 2500})
+		_, d, err = experiments.Fig12SimulationCountsCtx(context.Background(), experiments.Scale{SpacePer: 3, TotalRefs: 2500})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -180,7 +181,7 @@ func BenchmarkAPSAccuracy(b *testing.B) {
 	var d experiments.Fig12Data
 	for i := 0; i < b.N; i++ {
 		var err error
-		_, d, err = experiments.APSAccuracy(experiments.Scale{SpacePer: 3, TotalRefs: 2500})
+		_, d, err = experiments.APSAccuracy(context.Background(), experiments.Scale{SpacePer: 3, TotalRefs: 2500})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -254,7 +255,7 @@ func BenchmarkExtensionEnergyPareto(b *testing.B) {
 func BenchmarkCrossValidation(b *testing.B) {
 	var rho float64
 	for i := 0; i < b.N; i++ {
-		_, res, err := experiments.CrossValidate(experiments.Scale{TotalRefs: 3000}, 24)
+		_, res, err := experiments.CrossValidate(context.Background(), experiments.Scale{TotalRefs: 3000}, 24)
 		if err != nil {
 			b.Fatal(err)
 		}

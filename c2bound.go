@@ -179,10 +179,6 @@ type (
 	DesignSpace = dse.Space
 	// SpaceParam is one grid dimension.
 	SpaceParam = dse.Param
-	// Evaluator scores configurations (lower is better).
-	Evaluator = dse.Evaluator
-	// EvaluatorFunc adapts a plain function.
-	EvaluatorFunc = dse.EvaluatorFunc
 	// SimEvaluator scores configurations with the simulator.
 	SimEvaluator = dse.SimEvaluator
 	// APSOptions tunes the APS flow.
@@ -201,9 +197,11 @@ func NewSimEvaluator(cfg ChipConfig, workload string, wsBytes uint64, meanGap fl
 
 // Resilient exploration (cancellation, retries, checkpoint/resume).
 type (
-	// CtxEvaluator is a context-aware, fallible evaluator; SimEvaluator
-	// implements it, and AdaptEvaluator lifts a plain Evaluator.
+	// CtxEvaluator scores configurations (lower is better): context-aware
+	// and fallible. SimEvaluator and FamilyEvaluator implement it.
 	CtxEvaluator = dse.CtxEvaluator
+	// EvaluatorFunc makes a function a CtxEvaluator.
+	EvaluatorFunc = robust.EvaluatorFunc
 	// SweepOptions tunes the resilient sweep: workers, retry policy,
 	// timeout, and checkpoint/resume.
 	SweepOptions = dse.SweepOptions
@@ -299,9 +297,6 @@ func NewServer(opts ServerOptions) *Server { return server.New(opts) }
 // application profiles (tmm, stencil, fft, fluidanimate) over the
 // default chip.
 func NewModelCatalog() *ModelCatalog { return server.DefaultCatalog() }
-
-// AdaptEvaluator lifts a plain Evaluator to the context-aware interface.
-func AdaptEvaluator(e Evaluator) CtxEvaluator { return dse.WithContext(e) }
 
 // Baselines (§VI).
 

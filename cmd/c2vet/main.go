@@ -24,8 +24,10 @@
 // the packages fail to load or type-check. -json emits the same findings
 // as a machine-readable report (one JSON object, stable field and finding
 // order) for CI artifacts. -suppressions audits the allow comments
-// themselves, listing directives that suppress nothing so dead ones can
-// be removed. `make lint` (and CI) run it alongside go vet.
+// themselves: it lists directives that suppress nothing so dead ones can
+// be removed, then prints the number of live ones on a last line of the
+// form "N live //lint:allow directive(s)". `make lint` (and CI) run it
+// alongside go vet.
 package main
 
 import (
@@ -123,16 +125,17 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "c2vet:", err)
 		return 2
 	}
-	diags, stale, err := analysis.Run(active, pkgs)
+	diags, audit, err := analysis.Run(active, pkgs)
 	if err != nil {
 		fmt.Fprintln(stderr, "c2vet:", err)
 		return 2
 	}
 
 	if *suppressions {
-		analysis.PrintStale(stdout, pkgs, stale)
-		if len(stale) > 0 {
-			fmt.Fprintf(stderr, "c2vet: %d stale suppression(s)\n", len(stale))
+		analysis.PrintStale(stdout, pkgs, audit.Stale)
+		fmt.Fprintf(stdout, "%d live //lint:allow directive(s)\n", audit.Live)
+		if len(audit.Stale) > 0 {
+			fmt.Fprintf(stderr, "c2vet: %d stale suppression(s)\n", len(audit.Stale))
 			return 1
 		}
 		return 0

@@ -179,6 +179,9 @@ func calm() {
 	if strings.Contains(out, "s.go:9") {
 		t.Errorf("audit flagged the live allow:\n%s", out)
 	}
+	if !strings.HasSuffix(out, "\n1 live //lint:allow directive(s)\n") {
+		t.Errorf("audit does not end with the live count (1):\n%s", out)
+	}
 
 	// Without -suppressions the suppressed finding stays silent: exit 0.
 	stdout.Reset()

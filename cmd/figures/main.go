@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -30,6 +31,7 @@ func main() {
 	workers := flag.Int("workers", 0, "simulation parallelism (0 = GOMAXPROCS)")
 	cacheSize := flag.Int("cache", 0, "engine memo-cache capacity (0 = default, negative = disable)")
 	flag.Parse()
+	ctx := context.Background()
 
 	sc := experiments.Scale{TotalRefs: *refs, SpacePer: *per, Workers: *workers, CacheSize: *cacheSize}
 	if *full {
@@ -82,7 +84,7 @@ func main() {
 			return tb, err
 		},
 		"fig12": func() (*tablefmt.Table, error) {
-			tb, _, err := experiments.Fig12SimulationCounts(sc)
+			tb, _, err := experiments.Fig12SimulationCountsCtx(ctx, sc)
 			return tb, err
 		},
 		"fig13": func() (*tablefmt.Table, error) {
@@ -90,7 +92,7 @@ func main() {
 			return tb, err
 		},
 		"aps": func() (*tablefmt.Table, error) {
-			tb, _, err := experiments.APSAccuracy(sc)
+			tb, _, err := experiments.APSAccuracy(ctx, sc)
 			return tb, err
 		},
 		"regime": func() (*tablefmt.Table, error) {
@@ -105,7 +107,7 @@ func main() {
 			return experiments.AblationConcurrencySensitivity(nil)
 		},
 		"validate": func() (*tablefmt.Table, error) {
-			tb, _, err := experiments.CrossValidate(sc, 24)
+			tb, _, err := experiments.CrossValidate(ctx, sc, 24)
 			return tb, err
 		},
 		"asym": func() (*tablefmt.Table, error) {
@@ -128,7 +130,7 @@ func main() {
 			return tb, err
 		},
 		"xmodel": func() (*tablefmt.Table, error) {
-			tb, _, err := experiments.CrossModel(sc)
+			tb, _, err := experiments.CrossModelCtx(ctx, sc)
 			return tb, err
 		},
 	}

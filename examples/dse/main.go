@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -22,7 +23,7 @@ func main() {
 
 	sc := experiments.Scale{SpacePer: *per, TotalRefs: *refs}
 	start := time.Now()
-	tb, data, err := experiments.Fig12SimulationCounts(sc)
+	tb, data, err := experiments.Fig12SimulationCountsCtx(context.Background(), sc)
 	if err != nil {
 		log.Fatalf("fig12: %v", err)
 	}

@@ -2,10 +2,10 @@
 // PR 2: inside the exploration packages (dse, aps, core), every "design
 // point → objective value" evaluation flows through internal/engine,
 // which owns memoization, in-flight deduplication, the worker bound,
-// retry and metering. A call through the Evaluator interface
-// (dse.Evaluator's Evaluate or robust.Evaluator's EvaluateCtx) bypasses
-// all of it: the evaluation is invisible to engine.Stats and pays full
-// price even when the engine already memoized the point.
+// retry and metering. A call through the evaluator interface
+// (robust.Evaluator's EvaluateCtx) bypasses all of it: the evaluation is
+// invisible to engine.Stats and pays full price even when the engine
+// already memoized the point.
 //
 // The analyzer flags method calls named Evaluate/EvaluateCtx/
 // EvaluateBatch whose receiver's static type is an interface, in

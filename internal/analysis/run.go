@@ -54,19 +54,27 @@ type StaleAllow struct {
 	Unknown bool
 }
 
+// Audit is the account of a run's `//lint:allow` directives.
+type Audit struct {
+	// Live counts the directives that suppressed something.
+	Live int
+	// Stale lists the directives that suppressed nothing, by position.
+	Stale []StaleAllow
+}
+
 // Run applies every analyzer to every package in load order — which is
 // `go list -deps` dependency order, so fact-exporting analyzers see
 // their dependencies' facts — honours `//lint:allow` suppressions, and
 // returns the surviving diagnostics sorted by position plus the audit of
-// allow directives that suppressed nothing.
-func Run(analyzers []*Analyzer, pkgs []*Package) ([]Diagnostic, []StaleAllow, error) {
+// the allow directives.
+func Run(analyzers []*Analyzer, pkgs []*Package) ([]Diagnostic, Audit, error) {
 	known := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
 		known[a.Name] = true
 	}
 	facts := NewFactStore()
 	var all []Diagnostic
-	var stale []StaleAllow
+	var audit Audit
 	for _, pkg := range pkgs {
 		sup := NewSuppressor(pkg.Fset, pkg.Files)
 		facts.Begin(pkg.Path)
@@ -74,28 +82,31 @@ func Run(analyzers []*Analyzer, pkgs []*Package) ([]Diagnostic, []StaleAllow, er
 		for _, a := range analyzers {
 			diags, err := runPackage(a, pkg, sup, facts)
 			if err != nil {
-				return nil, nil, err
+				return nil, Audit{}, err
 			}
 			pkgDiags = append(pkgDiags, diags...)
 		}
 		all = append(all, sup.Filter(pkgDiags)...)
 		if err := facts.Seal(); err != nil {
-			return nil, nil, err
+			return nil, Audit{}, err
 		}
 		for _, d := range sup.Directives() {
-			if !d.Used() {
-				stale = append(stale, StaleAllow{Pos: d.Pos, Analyzer: d.Analyzer, Unknown: !known[d.Analyzer]})
+			if d.Used() {
+				audit.Live++
+			} else {
+				audit.Stale = append(audit.Stale, StaleAllow{Pos: d.Pos, Analyzer: d.Analyzer, Unknown: !known[d.Analyzer]})
 			}
 		}
 	}
 	if len(pkgs) > 0 {
 		fset := pkgs[0].Fset
 		sortDiagnostics(fset, all)
+		stale := audit.Stale
 		sort.SliceStable(stale, func(i, j int) bool {
 			return positionLess(fset.Position(stale[i].Pos), fset.Position(stale[j].Pos))
 		})
 	}
-	return all, stale, nil
+	return all, audit, nil
 }
 
 // sortDiagnostics orders diagnostics by file, line, column, analyzer

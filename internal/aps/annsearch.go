@@ -17,10 +17,10 @@ import (
 // paper reports as 613 for fluidanimate at APS's 5.96% accuracy.
 type ANNSearch struct {
 	Space dse.Space
-	Eval  dse.Evaluator
-	// Truth is the ground-truth value per flat index (from a full sweep);
-	// it is used only to *score* candidate designs, never to guide the
-	// search.
+	// Truth is the ground-truth value per flat index (from a full sweep).
+	// The search replays it instead of re-simulating: a sampled point's
+	// value trains the network and a probed point's value scores the
+	// candidate design. Each replayed value counts as one simulation.
 	Truth []float64
 
 	Seed      uint64
@@ -28,7 +28,6 @@ type ANNSearch struct {
 	MaxSims   int // give-up budget (default space size)
 	Hidden    int // network width (default 16)
 	Epochs    int // training epochs per round (default 400)
-	Workers   int
 }
 
 // ANNResult reports the baseline's outcome.
@@ -77,15 +76,8 @@ func (s *ANNSearch) Run(targetErr float64) (ANNResult, error) {
 	var X [][]float64
 	var y []float64
 	sims := 0
-	// With a nil evaluator the search replays the ground-truth values —
-	// the common case when a full sweep already ran and re-simulating
-	// sampled points would waste time. Simulation *counting* is identical.
 	simulate := func(idx int) float64 {
 		sims++
-		if s.Eval != nil {
-			//lint:allow enginepath the ANN baseline meters raw simulator invocations; memoization would distort the paper's Fig. 12 budget comparison
-			return s.Eval.Evaluate(s.Space.Point(idx))
-		}
 		return s.Truth[idx]
 	}
 

@@ -21,7 +21,7 @@ import (
 )
 
 // Metric selects the analytic objective used to pick the grid point —
-// it must match what the simulator-side Evaluator measures, because both
+// it must match what the simulator-side evaluator measures, because both
 // phases optimize the same quantity.
 type Metric int
 
@@ -33,7 +33,7 @@ const (
 	MetricTime Metric = iota
 	// MetricTimePerWork minimizes T/W, i.e. maximizes throughput W/T with
 	// the problem size scaled by g(N) — the paper's case-I objective. Use
-	// it with an Evaluator that divides simulated time by scaled work.
+	// it with an evaluator that divides simulated time by scaled work.
 	MetricTimePerWork
 )
 
@@ -92,18 +92,12 @@ type Result struct {
 	Engine engine.Stats
 }
 
-// Run executes APS for the model over the given space using eval as the
-// simulator. The space must carry the six paper dimensions (dse.DimA0 …
-// dse.DimROB).
-func Run(m core.Model, space dse.Space, eval dse.Evaluator, opts Options) (Result, error) {
-	//lint:allow ctxflow deliberate non-ctx convenience wrapper over RunCtx
-	return RunCtx(context.Background(), m, space, dse.WithContext(eval), opts)
-}
-
-// RunCtx executes APS with cancellation and resilience: the context's
-// cancellation or deadline propagates into the analytic grid scan and
-// every simulator invocation, failing evaluations are retried per
-// opts.Sweep.Retry, and the simulated phase can checkpoint and resume.
+// RunCtx executes APS for the model over the given space using eval as
+// the simulator. The space must carry the six paper dimensions
+// (dse.DimA0 … dse.DimROB). The context's cancellation or deadline
+// propagates into the analytic grid scan and every simulator invocation,
+// failing evaluations are retried per opts.Sweep.Retry, and the
+// simulated phase can checkpoint and resume.
 func RunCtx(ctx context.Context, m core.Model, space dse.Space, eval dse.CtxEvaluator, opts Options) (Result, error) {
 	dims := make(map[string]int, 6)
 	for _, name := range []string{dse.DimA0, dse.DimA1, dse.DimA2, dse.DimN, dse.DimIssue, dse.DimROB} {

@@ -28,9 +28,20 @@ func testSetup(t *testing.T, per int) (core.Model, dse.Space, *dse.FamilyEvaluat
 	return m, space, dse.NewFamilyEvaluator(fm)
 }
 
+// truthSweep scores every point of space: the ground truth APS and the
+// ANN baseline are measured against.
+func truthSweep(t *testing.T, eval dse.CtxEvaluator, space dse.Space) []float64 {
+	t.Helper()
+	truth, _, err := dse.SweepCtx(context.Background(), eval, space, nil, dse.SweepOptions{})
+	if err != nil {
+		t.Fatalf("ground-truth sweep: %v", err)
+	}
+	return truth
+}
+
 func TestRunBasic(t *testing.T) {
 	m, space, eval := testSetup(t, 4)
-	res, err := Run(m, space, eval, Options{Optimize: core.Options{MaxN: 64}})
+	res, err := RunCtx(context.Background(), m, space, eval, Options{Optimize: core.Options{MaxN: 64}})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -63,7 +74,7 @@ func TestRunNarrowsSpace(t *testing.T) {
 	// magnitude (10⁶ → ~10²). On the reduced space the same ratio is
 	// size/per⁴.
 	m, space, eval := testSetup(t, 4)
-	res, err := Run(m, space, eval, Options{Optimize: core.Options{MaxN: 64}})
+	res, err := RunCtx(context.Background(), m, space, eval, Options{Optimize: core.Options{MaxN: 64}})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -77,8 +88,8 @@ func TestRunCloseToGroundTruth(t *testing.T) {
 	// On the analytic evaluator, APS's chosen design should be within a
 	// modest factor of the global optimum of the full sweep.
 	m, space, eval := testSetup(t, 3)
-	truth := dse.Sweep(context.Background(), eval, space, 0)
-	res, err := Run(m, space, eval, Options{Optimize: core.Options{MaxN: 64}})
+	truth := truthSweep(t, eval, space)
+	res, err := RunCtx(context.Background(), m, space, eval, Options{Optimize: core.Options{MaxN: 64}})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -96,11 +107,11 @@ func TestRunCloseToGroundTruth(t *testing.T) {
 
 func TestRunWithRadius(t *testing.T) {
 	m, space, eval := testSetup(t, 3)
-	res0, err := Run(m, space, eval, Options{Optimize: core.Options{MaxN: 64}})
+	res0, err := RunCtx(context.Background(), m, space, eval, Options{Optimize: core.Options{MaxN: 64}})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	res1, err := Run(m, space, eval, Options{Radius: 1, Optimize: core.Options{MaxN: 64}})
+	res1, err := RunCtx(context.Background(), m, space, eval, Options{Radius: 1, Optimize: core.Options{MaxN: 64}})
 	if err != nil {
 		t.Fatalf("Run radius=1: %v", err)
 	}
@@ -118,7 +129,7 @@ func TestRunRejectsWrongSpace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(m, bad, eval, Options{}); err == nil {
+	if _, err := RunCtx(context.Background(), m, bad, eval, Options{}); err == nil {
 		t.Fatal("space without paper dims accepted")
 	}
 }
@@ -142,7 +153,7 @@ func TestRelativeError(t *testing.T) {
 
 func TestANNSearchReachesTarget(t *testing.T) {
 	_, space, eval := testSetup(t, 3)
-	truth := dse.Sweep(context.Background(), eval, space, 0)
+	truth := truthSweep(t, eval, space)
 	search := &ANNSearch{
 		Space: space, Truth: truth, Seed: 11,
 		ChunkSize: 30, Epochs: 200, MaxSims: space.Size(),
@@ -181,8 +192,8 @@ func TestANNNeedsMoreSimsThanAPS(t *testing.T) {
 	// The paper's Fig. 12 relationship on the reduced space: APS's
 	// simulation count is below the ANN baseline's at matched error.
 	m, space, eval := testSetup(t, 3)
-	truth := dse.Sweep(context.Background(), eval, space, 0)
-	apsRes, err := Run(m, space, eval, Options{Optimize: core.Options{MaxN: 64}})
+	truth := truthSweep(t, eval, space)
+	apsRes, err := RunCtx(context.Background(), m, space, eval, Options{Optimize: core.Options{MaxN: 64}})
 	if err != nil {
 		t.Fatalf("APS: %v", err)
 	}

@@ -9,18 +9,19 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dse"
 	"repro/internal/robust"
 )
 
 func TestRunCtxMatchesRun(t *testing.T) {
 	m, space, eval := testSetup(t, 4)
 	opts := Options{Optimize: core.Options{MaxN: 64}}
-	plain, err := Run(m, space, eval, opts)
+	// The function form has no fingerprint and no batch method, so the
+	// engine runs it uncached through the scalar path.
+	plain, err := RunCtx(context.Background(), m, space, robust.EvaluatorFunc(eval.EvaluateCtx), opts)
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("RunCtx over the function form: %v", err)
 	}
-	ctxRes, err := RunCtx(context.Background(), m, space, dse.WithContext(eval), opts)
+	ctxRes, err := RunCtx(context.Background(), m, space, eval, opts)
 	if err != nil {
 		t.Fatalf("RunCtx: %v", err)
 	}
@@ -33,12 +34,12 @@ func TestRunCtxMatchesRun(t *testing.T) {
 func TestRunCtxWithFaultInjectionFindsSameOptimum(t *testing.T) {
 	m, space, eval := testSetup(t, 4)
 	opts := Options{Optimize: core.Options{MaxN: 64}}
-	clean, err := RunCtx(context.Background(), m, space, dse.WithContext(eval), opts)
+	clean, err := RunCtx(context.Background(), m, space, eval, opts)
 	if err != nil {
 		t.Fatalf("clean RunCtx: %v", err)
 	}
 
-	faulty := robust.NewFaulty(dse.WithContext(eval), 0xbad5eed)
+	faulty := robust.NewFaulty(eval, 0xbad5eed)
 	faulty.PFail = 0.15
 	faulty.PPanic = 0.05 // 20% transient faults on every simulated point
 	fopts := opts
@@ -67,7 +68,7 @@ func TestRunCtxCancelledBeforeSweep(t *testing.T) {
 	m, space, eval := testSetup(t, 3)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RunCtx(ctx, m, space, dse.WithContext(eval), Options{Optimize: core.Options{MaxN: 64}})
+	_, err := RunCtx(ctx, m, space, eval, Options{Optimize: core.Options{MaxN: 64}})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -1,8 +1,11 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/url"
 	"os"
@@ -35,15 +38,34 @@ type Config struct {
 	Peers []PeerConfig `json:"peers"`
 }
 
-// LoadPeersFile reads and validates a peers.json membership table.
+// LoadPeersFile reads a peers.json membership table. It checks syntax
+// only: unknown fields (a mistyped key such as "vnode" would otherwise
+// fall back to a default) and data after the document are errors, while
+// the membership rules (names, URLs, self) are checked by New and
+// SetPeers.
 func LoadPeersFile(path string) (Config, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return Config{}, fmt.Errorf("cluster: %w", err)
 	}
-	var cfg Config
-	if err := json.Unmarshal(data, &cfg); err != nil {
+	cfg, err := parsePeers(data)
+	if err != nil {
 		return Config{}, fmt.Errorf("cluster: peers file %q: %w", path, err)
+	}
+	return cfg, nil
+}
+
+// parsePeers decodes a peers file's bytes: exactly one JSON document
+// with no unknown fields and nothing but white space after it.
+func parsePeers(data []byte) (Config, error) {
+	var cfg Config
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&cfg); err != nil {
+		return Config{}, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Config{}, errors.New("trailing data after JSON document")
 	}
 	return cfg, nil
 }

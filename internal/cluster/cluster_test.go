@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"math"
 	"net"
 	"net/http"
@@ -9,6 +10,7 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -108,11 +110,24 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// peersFixture is a valid two-peer membership table.
+const peersFixture = `{"self":"a","vnodes":32,"peers":[{"name":"a","url":"http://127.0.0.1:9001"},{"name":"b","url":"http://127.0.0.1:9002"}]}`
+
+// badPeersFiles are syntactically broken peers files that LoadPeersFile
+// must reject.
+var badPeersFiles = map[string]string{
+	// A mistyped key used to be dropped, leaving VirtualNodes at 0 (the
+	// default) without a word.
+	"unknown field": `{"self":"a","vnode":8,"peers":[{"name":"a","url":"http://127.0.0.1:9001"}]}`,
+	"two tables":    `{"self":"a","peers":[]} {"self":"b","peers":[]}`,
+	"stray brace":   `{"self":"a","peers":[]}}`,
+	"empty":         ``,
+}
+
 func TestLoadPeersFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "peers.json")
-	body := `{"self":"a","vnodes":32,"peers":[{"name":"a","url":"http://127.0.0.1:9001"},{"name":"b","url":"http://127.0.0.1:9002"}]}`
-	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(peersFixture), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	cfg, err := LoadPeersFile(path)
@@ -122,9 +137,45 @@ func TestLoadPeersFile(t *testing.T) {
 	if cfg.Self != "a" || cfg.VirtualNodes != 32 || len(cfg.Peers) != 2 {
 		t.Fatalf("parsed %+v", cfg)
 	}
+	for name, body := range badPeersFiles {
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := LoadPeersFile(path); err == nil {
+			t.Errorf("%s: accepted as %+v", name, got)
+		}
+	}
 	if _, err := LoadPeersFile(filepath.Join(dir, "missing.json")); err == nil {
 		t.Fatal("missing file: want error")
 	}
+}
+
+// FuzzLoadPeersFile fuzzes the peers-file decoder, which is all of
+// LoadPeersFile after the file is read: an accepted file must re-marshal
+// and reload to a deep-equal table.
+func FuzzLoadPeersFile(f *testing.F) {
+	f.Add([]byte(peersFixture))
+	f.Add([]byte(`{"peers":[{"name":"a","url":"http://127.0.0.1:1/a"},{"name":"a","url":""}],"vnodes":-3}`))
+	for _, body := range badPeersFiles {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cfg, err := parsePeers(data)
+		if err != nil {
+			return
+		}
+		again, err := json.Marshal(cfg)
+		if err != nil {
+			t.Fatalf("re-marshal %+v: %v", cfg, err)
+		}
+		reloaded, err := parsePeers(again)
+		if err != nil {
+			t.Fatalf("reload of %s: %v", again, err)
+		}
+		if !reflect.DeepEqual(reloaded, cfg) {
+			t.Fatalf("round trip changed the table:\n got %+v\nwant %+v", reloaded, cfg)
+		}
+	})
 }
 
 func TestOwnerRoutesAndSetPeersPreservesState(t *testing.T) {

@@ -240,7 +240,7 @@ func nextN(n int) int {
 	return n + step
 }
 
-// optimizeAreasScored is OptimizeAreas with a caller-supplied score.
+// optimizeAreasScored is optimizeAreas with a caller-supplied score.
 // Unlike the time objective — where filling the die is always at least as
 // good — energy objectives may prefer *dark silicon* (unused area leaks
 // nothing), so a third free variable scales how much of the per-core

@@ -13,14 +13,14 @@ import (
 // changes the cost, never the answer.
 func TestOptimizeAreasWithEngineBitIdentical(t *testing.T) {
 	m := testModel(FluidanimateApp())
-	dPlain, methodPlain, evalsPlain, err := m.OptimizeAreas(16, Options{})
+	dPlain, methodPlain, evalsPlain, err := m.optimizeAreas(context.Background(), 16, Options{})
 	if err != nil {
-		t.Fatalf("direct OptimizeAreas: %v", err)
+		t.Fatalf("direct optimizeAreas: %v", err)
 	}
 	eng := engine.New(engine.Options{})
-	dRouted, methodRouted, evalsRouted, err := m.OptimizeAreas(16, Options{Engine: eng})
+	dRouted, methodRouted, evalsRouted, err := m.optimizeAreas(context.Background(), 16, Options{Engine: eng})
 	if err != nil {
-		t.Fatalf("engine OptimizeAreas: %v", err)
+		t.Fatalf("engine optimizeAreas: %v", err)
 	}
 	if methodPlain != methodRouted {
 		t.Fatalf("solver diverged: %q vs %q", methodPlain, methodRouted)

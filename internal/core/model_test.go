@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -195,9 +196,9 @@ func TestClassifyRegime(t *testing.T) {
 func TestOptimizeAreasConstraintTight(t *testing.T) {
 	m := testModel(FluidanimateApp())
 	for _, n := range []int{1, 8, 64} {
-		d, method, evals, err := m.OptimizeAreas(n, Options{})
+		d, method, evals, err := m.optimizeAreas(context.Background(), n, Options{})
 		if err != nil {
-			t.Fatalf("OptimizeAreas(%d): %v", n, err)
+			t.Fatalf("optimizeAreas(%d): %v", n, err)
 		}
 		if method == "" || evals <= 0 {
 			t.Fatalf("missing method/evals: %q, %d", method, evals)
@@ -215,9 +216,9 @@ func TestOptimizeAreasConstraintTight(t *testing.T) {
 func TestOptimizeAreasBeatsNaiveSplits(t *testing.T) {
 	m := testModel(FluidanimateApp())
 	n := 16
-	d, _, _, err := m.OptimizeAreas(n, Options{})
+	d, _, _, err := m.optimizeAreas(context.Background(), n, Options{})
 	if err != nil {
-		t.Fatalf("OptimizeAreas: %v", err)
+		t.Fatalf("optimizeAreas: %v", err)
 	}
 	opt := m.TimeAt(d)
 	budget := (m.Chip.TotalArea - m.Chip.FixedArea) / float64(n)
@@ -256,7 +257,7 @@ func TestOptimizeSublinearFindsFiniteN(t *testing.T) {
 		if n == res.Design.N {
 			continue
 		}
-		d, _, _, err := m.OptimizeAreas(n, Options{MaxN: 256})
+		d, _, _, err := m.optimizeAreas(context.Background(), n, Options{MaxN: 256})
 		if err != nil {
 			continue
 		}
@@ -280,9 +281,9 @@ func TestOptimizeSuperlinearMaximizesThroughput(t *testing.T) {
 		t.Fatal("throughput not positive")
 	}
 	// A single-core design should achieve strictly less throughput.
-	d1, _, _, err := m.OptimizeAreas(1, Options{MaxN: 400})
+	d1, _, _, err := m.optimizeAreas(context.Background(), 1, Options{MaxN: 400})
 	if err != nil {
-		t.Fatalf("OptimizeAreas(1): %v", err)
+		t.Fatalf("optimizeAreas(1): %v", err)
 	}
 	if tp1 := m.ThroughputAt(d1); tp1 >= res.Eval.Throughput {
 		t.Fatalf("single core throughput %v ≥ optimum %v", tp1, res.Eval.Throughput)

@@ -131,20 +131,14 @@ func (ec *evalCounter) time(d chip.Design) float64 {
 	return v
 }
 
-// OptimizeAreas finds the area split (A0, A1, A2) minimizing J_D for a
+// optimizeAreas finds the area split (A0, A1, A2) minimizing J_D for a
 // fixed core count n, holding the area constraint of Eq. 12 tight. For
 // fixed N minimizing T and maximizing W/T coincide (W depends only on N),
 // so one routine serves both regimes. It first attempts the paper's
 // Lagrange/KKT system with Newton's method and falls back to a simplex
 // search in the constrained subspace; the better of the two is returned
-// together with the solver label.
-func (m Model) OptimizeAreas(n int, opts Options) (chip.Design, string, int, error) {
-	//lint:allow ctxflow deliberate non-ctx convenience wrapper over the ctx-aware optimizer
-	return m.optimizeAreas(context.Background(), n, opts)
-}
-
-// optimizeAreas is OptimizeAreas with the context threaded through to the
-// engine-routed probes.
+// together with the solver label. The context reaches the engine-routed
+// probes.
 func (m Model) optimizeAreas(ctx context.Context, n int, opts Options) (chip.Design, string, int, error) {
 	opts.fill(m.Chip)
 	budget := (m.Chip.TotalArea - m.Chip.FixedArea) / float64(n)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/chip"
 	"repro/internal/core"
 	"repro/internal/model"
+	"repro/internal/robust"
 )
 
 // c2Model builds the paper's c2bound objective for an application
@@ -194,14 +195,42 @@ func TestNeighborhood(t *testing.T) {
 	}
 }
 
+// plainEval lifts an infallible scoring function to the evaluator
+// contract; it carries no fingerprint, so the engine meters it uncached.
+func plainEval(f func(p []float64) float64) CtxEvaluator {
+	return robust.EvaluatorFunc(func(_ context.Context, p []float64) (float64, error) { return f(p), nil })
+}
+
+// sweepValues runs SweepCtx over indices (all when nil) with the given
+// worker bound and fails the test on any error.
+func sweepValues(t *testing.T, e CtxEvaluator, s Space, indices []int, workers int) []float64 {
+	t.Helper()
+	vals, _, err := SweepCtx(context.Background(), e, s, indices, SweepOptions{Workers: workers})
+	if err != nil {
+		t.Fatalf("SweepCtx: %v", err)
+	}
+	return vals
+}
+
+// simScore evaluates one point on the simulator and fails the test on a
+// fault.
+func simScore(t *testing.T, ev *SimEvaluator, p []float64) float64 {
+	t.Helper()
+	v, err := ev.EvaluateCtx(context.Background(), p)
+	if err != nil {
+		t.Fatalf("EvaluateCtx(%v): %v", p, err)
+	}
+	return v
+}
+
 func TestSweepMatchesSequential(t *testing.T) {
 	s, _ := NewSpace(
 		Param{Name: "x", Values: []float64{1, 2, 3, 4, 5}},
 		Param{Name: "y", Values: []float64{1, 2, 3, 4}},
 	)
-	eval := EvaluatorFunc(func(p []float64) float64 { return p[0]*10 + p[1] })
-	par := Sweep(context.Background(), eval, s, 4)
-	seq := Sweep(context.Background(), eval, s, 1)
+	eval := plainEval(func(p []float64) float64 { return p[0]*10 + p[1] })
+	par := sweepValues(t, eval, s, nil, 4)
+	seq := sweepValues(t, eval, s, nil, 1)
 	for i := range par {
 		if par[i] != seq[i] {
 			t.Fatalf("parallel/sequential mismatch at %d", i)
@@ -215,8 +244,8 @@ func TestSweepMatchesSequential(t *testing.T) {
 
 func TestSweepIndicesPartial(t *testing.T) {
 	s, _ := NewSpace(Param{Name: "x", Values: []float64{0, 1, 2, 3}})
-	eval := EvaluatorFunc(func(p []float64) float64 { return p[0] })
-	vals := SweepIndices(context.Background(), eval, s, []int{1, 3}, 2)
+	eval := plainEval(func(p []float64) float64 { return p[0] })
+	vals := sweepValues(t, eval, s, []int{1, 3}, 2)
 	if !math.IsNaN(vals[0]) || !math.IsNaN(vals[2]) {
 		t.Fatal("unevaluated entries not NaN")
 	}
@@ -269,17 +298,17 @@ func TestSimEvaluatorFeasibility(t *testing.T) {
 	}
 	// Feasible point.
 	good := []float64{4, 1, 4, 4, 4, 128}
-	v := ev.Evaluate(good)
+	v := simScore(t, ev, good)
 	if math.IsInf(v, 1) || v <= 0 {
 		t.Fatalf("feasible point scored %v", v)
 	}
 	// Infeasible: 32 cores × huge areas.
 	bad := []float64{40, 10, 40, 32, 4, 128}
-	if !math.IsInf(ev.Evaluate(bad), 1) {
+	if !math.IsInf(simScore(t, ev, bad), 1) {
 		t.Fatal("infeasible point not +Inf")
 	}
 	// Wrong dimension count.
-	if !math.IsInf(ev.Evaluate([]float64{1, 2}), 1) {
+	if !math.IsInf(simScore(t, ev, []float64{1, 2}), 1) {
 		t.Fatal("short point not +Inf")
 	}
 	if _, err := NewSimEvaluator(chip.DefaultConfig(), "nope", 1<<20, 2, 4000, 7); err == nil {
@@ -297,8 +326,8 @@ func TestSimEvaluatorPrefersCaches(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSimEvaluator: %v", err)
 	}
-	small := ev.Evaluate([]float64{4, 0.25, 4, 4, 4, 128})
-	large := ev.Evaluate([]float64{4, 4, 4, 4, 4, 128})
+	small := simScore(t, ev, []float64{4, 0.25, 4, 4, 4, 128})
+	large := simScore(t, ev, []float64{4, 4, 4, 4, 4, 128})
 	if large > small {
 		t.Fatalf("4 mm² L1 (%v cycles) slower than 0.25 mm² (%v)", large, small)
 	}
@@ -310,7 +339,7 @@ func TestSimEvaluatorDeterministic(t *testing.T) {
 		t.Fatalf("NewSimEvaluator: %v", err)
 	}
 	p := []float64{4, 1, 4, 2, 4, 128}
-	if a, b := ev.Evaluate(p), ev.Evaluate(p); a != b {
+	if a, b := simScore(t, ev, p), simScore(t, ev, p); a != b {
 		t.Fatalf("nondeterministic: %v vs %v", a, b)
 	}
 }

@@ -97,21 +97,6 @@ func clampKB(kb float64) int {
 	return v
 }
 
-// Evaluate implements Evaluator: the simulated makespan in cycles, +Inf
-// for infeasible configurations, or NaN when the simulator faulted.
-// Infeasible and faulted are distinct outcomes on purpose: +Inf is a
-// legitimate score ("this design does not fit"), while NaN marks a
-// swallowed error, which Best skips so a faulty run can never be selected
-// as the optimum.
-func (e *SimEvaluator) Evaluate(point []float64) float64 {
-	//lint:allow ctxflow the plain Evaluator interface carries no context by contract
-	v, err := e.EvaluateCtx(context.Background(), point)
-	if err != nil {
-		return math.NaN()
-	}
-	return v
-}
-
 // Fingerprint implements engine.Fingerprinter: it covers every field the
 // simulated score depends on (chip constants, workload, working set,
 // reference budget, seed and the hardware templates), so two evaluators

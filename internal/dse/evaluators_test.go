@@ -45,12 +45,12 @@ func TestSimEvaluatorFaultScoresNaN(t *testing.T) {
 	// after construction so Config() succeeds but the run cannot.
 	ev.Workload = "no-such-workload"
 	good := []float64{4, 1, 4, 4, 4, 128}
-	v := ev.Evaluate(good)
+	v, err := ev.EvaluateCtx(context.Background(), good)
+	if err == nil {
+		t.Fatal("faulted EvaluateCtx returned nil error")
+	}
 	if !math.IsNaN(v) {
 		t.Fatalf("faulted evaluation scored %v, want NaN", v)
-	}
-	if _, err := ev.EvaluateCtx(context.Background(), good); err == nil {
-		t.Fatal("faulted EvaluateCtx returned nil error")
 	}
 	// The fault score can never be selected.
 	if idx, _ := Best([]float64{v}); idx != -1 {
@@ -59,8 +59,8 @@ func TestSimEvaluatorFaultScoresNaN(t *testing.T) {
 	// Infeasible stays +Inf even on the broken evaluator: feasibility is
 	// checked before the simulator runs.
 	bad := []float64{40, 10, 40, 32, 4, 128}
-	if !math.IsInf(ev.Evaluate(bad), 1) {
-		t.Fatal("infeasible point not +Inf")
+	if v, err := ev.EvaluateCtx(context.Background(), bad); err != nil || !math.IsInf(v, 1) {
+		t.Fatalf("infeasible point scored %v, %v; want +Inf, nil", v, err)
 	}
 }
 

@@ -67,10 +67,11 @@ func (e *FamilyEvaluator) compile() (model.Kernel, error) {
 	return e.kernel, e.compileErr
 }
 
-// Evaluate implements Evaluator: the family objective at the point,
-// +Inf for infeasible points, NaN when the family cannot evaluate at
-// all (compile failure without a direct path). The direct path is
-// preferred so the scalar result never depends on compile state.
+// Evaluate is the scalar kernel behind EvaluateCtx: the family
+// objective at the point, +Inf for infeasible points, NaN when the
+// family cannot evaluate at all (compile failure without a direct
+// path). The direct path is preferred so the scalar result never
+// depends on compile state.
 func (e *FamilyEvaluator) Evaluate(point []float64) float64 {
 	if d, ok := e.M.(model.Direct); ok {
 		t, _, feasible := d.DirectTimeWorkAt(point)

@@ -20,7 +20,7 @@ func modelEvalSpace(t *testing.T, per int) (*FamilyEvaluator, Space) {
 
 func TestSweepCtxMatchesPlainSweep(t *testing.T) {
 	eval, s := modelEvalSpace(t, 2)
-	plain := Sweep(context.Background(), eval, s, 4)
+	plain := sweepValues(t, plainEval(eval.Evaluate), s, nil, 4)
 	vals, rep, err := SweepCtx(context.Background(), eval, s, nil, SweepOptions{Workers: 4})
 	if err != nil {
 		t.Fatalf("SweepCtx: %v", err)
@@ -303,7 +303,7 @@ func TestResumeRejectsForeignCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = SweepCtx(context.Background(), WithContext(EvaluatorFunc(func(p []float64) float64 { return p[0] })),
+	_, _, err = SweepCtx(context.Background(), plainEval(func(p []float64) float64 { return p[0] }),
 		other, nil, SweepOptions{CheckpointPath: path, Resume: true})
 	if err == nil {
 		t.Fatal("checkpoint from a different space accepted")

@@ -14,52 +14,10 @@ import (
 	"repro/internal/robust"
 )
 
-// CtxEvaluator is the resilient evaluator contract: context-aware and
-// fallible. dse.SimEvaluator and dse.FamilyEvaluator implement it; plain
-// Evaluators adapt through WithContext.
+// CtxEvaluator is the evaluator contract: context-aware and fallible.
+// dse.SimEvaluator and dse.FamilyEvaluator implement it; a plain
+// function becomes one through robust.EvaluatorFunc.
 type CtxEvaluator = robust.Evaluator
-
-// ctxAdapter lifts a plain Evaluator to CtxEvaluator, forwarding the
-// inner evaluator's fingerprint (when it has one) so adapted evaluators
-// still participate in engine memoization.
-type ctxAdapter struct {
-	inner Evaluator
-}
-
-func (a ctxAdapter) EvaluateCtx(ctx context.Context, point []float64) (float64, error) {
-	if err := ctx.Err(); err != nil {
-		return math.NaN(), err
-	}
-	//lint:allow enginepath the adapter IS the engine's entry bridge for plain evaluators
-	return a.inner.Evaluate(point), nil
-}
-
-// Fingerprint implements engine.Fingerprinter when the wrapped evaluator
-// does; otherwise it returns "" (and the engine treats the adapter as
-// anonymous — metered but uncached).
-func (a ctxAdapter) Fingerprint() string {
-	if f, ok := a.inner.(engine.Fingerprinter); ok {
-		return "dse.ctx{" + f.Fingerprint() + "}"
-	}
-	return ""
-}
-
-// WithContext adapts a plain Evaluator to the CtxEvaluator interface:
-// cancellation is honoured between evaluations and the score is returned
-// with a nil error. If the inner evaluator carries an engine fingerprint,
-// the adapter forwards it so memoization still applies.
-func WithContext(e Evaluator) CtxEvaluator {
-	if f, ok := e.(engine.Fingerprinter); ok && f.Fingerprint() != "" {
-		return ctxAdapter{inner: e}
-	}
-	return robust.EvaluatorFunc(func(ctx context.Context, point []float64) (float64, error) {
-		if err := ctx.Err(); err != nil {
-			return math.NaN(), err
-		}
-		//lint:allow enginepath the adapter IS the engine's entry bridge for plain evaluators
-		return e.Evaluate(point), nil
-	})
-}
 
 // Streamer is the one engine method a sweep calls. *engine.Engine
 // implements it; so does anything that routes the points elsewhere and

@@ -54,7 +54,7 @@ func parallelismAt(s dse.Space, point []float64) float64 {
 	return par
 }
 
-// CrossModel sweeps every registered model family over the tmm and fft
+// CrossModelCtx sweeps every registered model family over the tmm and fft
 // catalog applications and lines their optima up: each family's best
 // design, the hardware parallelism it prescribes, and that parallelism
 // relative to C²-Bound's choice on the same application. The divergence
@@ -63,15 +63,8 @@ func parallelismAt(s dse.Space, point []float64) float64 {
 // trade-off, while C²-Bound moves it with cache capacity too, so the
 // ratio drifting from 1 marks exactly where capacity effects change the
 // answer. All families share one memoizing engine; the family-qualified
-// fingerprints keep their cache entries apart. Use CrossModelCtx to
-// bound the sweeps with a deadline or cancel signal.
-func CrossModel(sc Scale) (*tablefmt.Table, []CrossModelRow, error) {
-	//lint:allow ctxflow deliberate non-ctx convenience wrapper over CrossModelCtx
-	return CrossModelCtx(context.Background(), sc)
-}
-
-// CrossModelCtx is CrossModel with cancellation: every family sweep
-// stops promptly when ctx is done.
+// fingerprints keep their cache entries apart. Every family sweep stops
+// promptly when ctx is done.
 func CrossModelCtx(ctx context.Context, sc Scale) (*tablefmt.Table, []CrossModelRow, error) {
 	per := sc.SpacePer
 	if per <= 0 {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 // (application, family), finite positive optima, and the divergence
 // column anchored at exactly 1 for c2bound itself.
 func TestCrossModel(t *testing.T) {
-	tb, rows, err := CrossModel(Scale{SpacePer: 3})
+	tb, rows, err := CrossModelCtx(context.Background(), Scale{SpacePer: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,20 +61,12 @@ type Fig12Data struct {
 	APSEngine   engine.Stats
 }
 
-// Fig12SimulationCounts runs the full §IV comparison on a design space
-// sized by sc: ground-truth brute-force sweep, APS, and the ANN baseline
-// driven to APS's error level. On sc.SpacePer = 10 this is the paper's
-// 10⁶-point experiment; the default reduced space preserves the ratios at
-// a laptop-friendly cost. Use Fig12SimulationCountsCtx to bound the
-// experiment with a deadline or cancel signal.
-func Fig12SimulationCounts(sc Scale) (*tablefmt.Table, Fig12Data, error) {
-	//lint:allow ctxflow deliberate non-ctx convenience wrapper over Fig12SimulationCountsCtx
-	return Fig12SimulationCountsCtx(context.Background(), sc)
-}
-
-// Fig12SimulationCountsCtx is Fig12SimulationCounts with cancellation:
-// both the ground-truth sweep and the APS run stop promptly when ctx is
-// cancelled or its deadline expires.
+// Fig12SimulationCountsCtx runs the full §IV comparison on a design
+// space sized by sc: ground-truth brute-force sweep, APS, and the ANN
+// baseline driven to APS's error level. On sc.SpacePer = 10 this is the
+// paper's 10⁶-point experiment; the default reduced space preserves the
+// ratios at a laptop-friendly cost. Both the ground-truth sweep and the
+// APS run stop promptly when ctx is cancelled or its deadline expires.
 func Fig12SimulationCountsCtx(ctx context.Context, sc Scale) (*tablefmt.Table, Fig12Data, error) {
 	sc.fill()
 	m := fluidanimateModel()
@@ -181,12 +173,11 @@ func Fig13APC(sc Scale) (*tablefmt.Table, map[string][3]float64, error) {
 // error against the full sweep (the paper measured 5.96% on fluidanimate)
 // and the share of the ANN baseline's simulation budget APS needs (the
 // paper reports 16.3%).
-func APSAccuracy(sc Scale) (*tablefmt.Table, Fig12Data, error) {
-	tb12, d, err := Fig12SimulationCounts(sc)
+func APSAccuracy(ctx context.Context, sc Scale) (*tablefmt.Table, Fig12Data, error) {
+	_, d, err := Fig12SimulationCountsCtx(ctx, sc)
 	if err != nil {
 		return nil, d, err
 	}
-	_ = tb12
 	tb := tablefmt.New("APS accuracy (§IV)", "quantity", "measured", "paper")
 	tb.AddRow("APS rel. error", tablefmt.Float(d.APSRelErr), "0.0596")
 	tb.AddRow("APS sims / ANN sims", tablefmt.Float(d.APSShareOfANN), "0.163")

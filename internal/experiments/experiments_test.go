@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -184,7 +185,7 @@ func TestFig12SimulationCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep in -short mode")
 	}
-	tb, d, err := Fig12SimulationCounts(Scale{SpacePer: 3, TotalRefs: 2500})
+	tb, d, err := Fig12SimulationCountsCtx(context.Background(), Scale{SpacePer: 3, TotalRefs: 2500})
 	if err != nil {
 		t.Fatalf("Fig12: %v", err)
 	}

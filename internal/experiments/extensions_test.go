@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -9,7 +10,7 @@ func TestCrossValidate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep in -short mode")
 	}
-	tb, res, err := CrossValidate(Scale{TotalRefs: 3000}, 24)
+	tb, res, err := CrossValidate(context.Background(), Scale{TotalRefs: 3000}, 24)
 	if err != nil {
 		t.Fatalf("CrossValidate: %v", err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -22,8 +23,9 @@ type ValidationResult struct {
 
 // CrossValidate samples design points from the reduced space, scores each
 // with both the analytic c2bound objective (Eq. 10 plus the issue/ROB
-// corrections) and the full simulator, and reports rank agreement.
-func CrossValidate(sc Scale, samples int) (*tablefmt.Table, ValidationResult, error) {
+// corrections) and the full simulator, and reports rank agreement. A
+// simulator fault or ctx's cancellation ends the run with the error.
+func CrossValidate(ctx context.Context, sc Scale, samples int) (*tablefmt.Table, ValidationResult, error) {
 	sc.fill()
 	if samples < 4 {
 		samples = 24
@@ -58,7 +60,10 @@ func CrossValidate(sc Scale, samples int) (*tablefmt.Table, ValidationResult, er
 		seen[idx] = true
 		p := space.Point(idx)
 		av := modelEval.Evaluate(p)
-		sv := simEval.Evaluate(p)
+		sv, err := simEval.EvaluateCtx(ctx, p)
+		if err != nil {
+			return nil, ValidationResult{}, fmt.Errorf("experiments: simulating validation point %d: %w", idx, err)
+		}
 		if math.IsInf(av, 1) || math.IsInf(sv, 1) {
 			continue
 		}

@@ -17,8 +17,9 @@ import (
 	"sync"
 )
 
-// Evaluator is a context-aware, fallible design-point evaluator: the
-// resilient counterpart of dse.Evaluator. Implementations must be safe
+// Evaluator is a context-aware, fallible design-point evaluator, and
+// the one evaluator contract of the exploration packages (dse.CtxEvaluator
+// is this type). Smaller scores are better. Implementations must be safe
 // for concurrent use. A returned error marks a fault (retryable unless it
 // wraps the context's error); an infeasible-but-valid configuration
 // should instead return +Inf with a nil error so it is scored, not

@@ -160,3 +160,33 @@ func TestErrorEnvelopeStableUnderFaults(t *testing.T) {
 		t.Fatalf("fault injection produced no failures; the test exercised nothing")
 	}
 }
+
+// TestDecodeJSONRejectsTrailingData pins the one-document rule of request
+// bodies: white space may follow the document, anything else is a
+// validation error, a stray closing brace or bracket included.
+func TestDecodeJSONRejectsTrailingData(t *testing.T) {
+	cases := map[string]bool{
+		`{"point":[1]}`:               true,
+		"{\"point\":[1]}\n\t ":        true,
+		`{"point":[1]} {"point":[2]}`: false,
+		`{"point":[1]}}`:              false,
+		`{"point":[1]}]`:              false,
+		`{"point":[1]} x`:             false,
+	}
+	for body, ok := range cases {
+		r, err := http.NewRequest(http.MethodPost, "/v1/evaluate", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var v struct {
+			Point []float64 `json:"point"`
+		}
+		err = decodeJSON(r, &v)
+		if ok && err != nil {
+			t.Errorf("%q: %v", body, err)
+		}
+		if !ok && !isValidation(err) {
+			t.Errorf("%q: got %v, want a validation error", body, err)
+		}
+	}
+}

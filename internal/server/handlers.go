@@ -32,8 +32,17 @@ func decodeJSON(r *http.Request, v interface{}) error {
 	if err := dec.Decode(v); err != nil {
 		return validationf("server: decoding request: %v", err)
 	}
-	if dec.More() {
-		return validationf("server: trailing data after JSON document")
+	if err := endOfDocument(dec); err != nil {
+		return validationf("server: %v", err)
+	}
+	return nil
+}
+
+// endOfDocument reports an error unless only white space follows the
+// document dec just decoded. (dec.More alone misses a stray '}' or ']'.)
+func endOfDocument(dec *json.Decoder) error {
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after JSON document")
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"math"
@@ -107,11 +108,25 @@ func LoadTenantsFile(path string) ([]TenantConfig, error) {
 	if err != nil {
 		return nil, err
 	}
+	configs, err := parseTenants(data)
+	if err != nil {
+		return nil, validationf("server: tenants file %s: %v", path, err)
+	}
+	return configs, nil
+}
+
+// parseTenants decodes a tenants file's bytes: exactly one JSON document
+// with no unknown fields (a mistyped key is a config error, not forward
+// compatibility) and nothing but white space after it.
+func parseTenants(data []byte) ([]TenantConfig, error) {
 	var f tenantsFile
-	dec := json.NewDecoder(strings.NewReader(string(data)))
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&f); err != nil {
-		return nil, validationf("server: tenants file %s: %v", path, err)
+		return nil, err
+	}
+	if err := endOfDocument(dec); err != nil {
+		return nil, err
 	}
 	return f.Tenants, nil
 }

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"encoding/json"
+	"errors"
 	"math"
 	"net/http"
 	"os"
@@ -51,11 +53,27 @@ func TestTenantConfigNormalize(t *testing.T) {
 	}
 }
 
+// tenantsFixture is a valid tenants file: a keyed tenant with every
+// limit set and a keyless catch-all.
+const tenantsFixture = `{"tenants":[{"name":"acme","key":"k1","weight":3,"rate_per_sec":2.5},{"name":"guest","key":""}]}`
+
+// badTenantsFiles are syntactically broken tenants files that
+// LoadTenantsFile must reject.
+var badTenantsFiles = map[string]string{
+	// Unknown fields are config typos, not forward compatibility.
+	"unknown field": `{"tenants":[{"name":"a","key":"k","rate":5}]}`,
+	// A second table used to load the first and drop the second.
+	"two tables":     `{"tenants":[{"name":"a","key":"ka"}]} {"tenants":[{"name":"b","key":"kb"}]}`,
+	"stray brace":    `{"tenants":[{"name":"a","key":"ka"}]}}`,
+	"stray bracket":  `{"tenants":[{"name":"a","key":"ka"}]}]`,
+	"trailing token": `{"tenants":[]} x`,
+	"empty":          ``,
+}
+
 func TestLoadTenantsFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "tenants.json")
-	body := `{"tenants":[{"name":"acme","key":"k1","weight":3,"rate_per_sec":2.5},{"name":"guest","key":""}]}`
-	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(tenantsFixture+"\n"), 0o644); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	configs, err := LoadTenantsFile(path)
@@ -70,16 +88,59 @@ func TestLoadTenantsFile(t *testing.T) {
 		t.Fatalf("loaded %+v, want %+v", configs, want)
 	}
 
-	// Unknown fields are config typos, not forward compatibility.
-	if err := os.WriteFile(path, []byte(`{"tenants":[{"name":"a","key":"k","rate":5}]}`), 0o644); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	if _, err := LoadTenantsFile(path); err == nil {
-		t.Fatalf("unknown field accepted")
+	for name, body := range badTenantsFiles {
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		if got, err := LoadTenantsFile(path); err == nil {
+			t.Errorf("%s: accepted as %+v", name, got)
+		} else if !isValidation(err) {
+			t.Errorf("%s: error %v is not a validation error", name, err)
+		}
 	}
 	if _, err := LoadTenantsFile(filepath.Join(dir, "missing.json")); err == nil {
 		t.Fatalf("missing file accepted")
 	}
+}
+
+// isValidation reports whether err is (or wraps) a validation error.
+func isValidation(err error) bool {
+	var ve *validationError
+	return errors.As(err, &ve)
+}
+
+// FuzzLoadTenantsFile fuzzes the tenants-file decoder, which is all of
+// LoadTenantsFile after the file is read. An accepted file must
+// re-marshal and reload to a deep-equal table, and installing that table
+// (what SetTenants runs) must succeed or fail with a validation error.
+func FuzzLoadTenantsFile(f *testing.F) {
+	f.Add([]byte(tenantsFixture))
+	f.Add([]byte(`{"tenants":[]}`))
+	f.Add([]byte(`{"tenants":[{"name":"a","key":"k"},{"name":"a","key":"j"}]}`)) // duplicate name
+	f.Add([]byte(`{"tenants":[{"name":"a","key":"k","max_concurrent":-1,"burst":1e308}]}`))
+	for _, body := range badTenantsFiles {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		configs, err := parseTenants(data)
+		if err != nil {
+			return
+		}
+		again, err := json.Marshal(tenantsFile{Tenants: configs})
+		if err != nil {
+			t.Fatalf("re-marshal %+v: %v", configs, err)
+		}
+		reloaded, err := parseTenants(again)
+		if err != nil {
+			t.Fatalf("reload of %s: %v", again, err)
+		}
+		if !reflect.DeepEqual(reloaded, configs) {
+			t.Fatalf("round trip changed the table:\n got %+v\nwant %+v", reloaded, configs)
+		}
+		if err := newTenants(obs.NewRegistry()).set(configs); err != nil && !isValidation(err) {
+			t.Fatalf("installing %+v: %v is not a validation error", configs, err)
+		}
+	})
 }
 
 func TestTenantTokenBucket(t *testing.T) {
